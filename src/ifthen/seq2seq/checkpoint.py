@@ -3,17 +3,21 @@
 Layout: one JSON header line (format version, config, vocabulary, tensor
 manifest with shapes, all keys sorted) followed by the raw little-endian
 float64 bytes of every tensor, concatenated in the canonical flattening
-order. Writing the same model twice yields byte-identical files.
+order. Writing the same model twice yields byte-identical files. A write
+goes to a sibling temporary file that replaces the target only once
+complete, so a failed write leaves any previous checkpoint intact.
 """
 
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 
 from ifthen.seq2seq.config import ModelConfig
-from ifthen.seq2seq.model import ModelParams, _canonical_param_order
+from ifthen.seq2seq.grouping import encoder_grouping
+from ifthen.seq2seq.model import ModelParams, _canonical_param_order, _param_shapes
 from ifthen.seq2seq.vocab import VocabularyMap
 
 FORMAT_VERSION = 1
@@ -33,45 +37,60 @@ def save_checkpoint(params: ModelParams, path: str) -> None:
             for name in params.param_order
         ],
     }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8"))
-        fh.write(b"\n")
-        for name in params.param_order:
-            arr = np.ascontiguousarray(params.arrays[name], dtype="<f8")
-            fh.write(arr.tobytes())
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8"))
+            fh.write(b"\n")
+            for name in params.param_order:
+                arr = np.ascontiguousarray(params.arrays[name], dtype="<f8")
+                fh.write(arr.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def _read_header(fh) -> tuple[ModelConfig, VocabularyMap, list[str], dict[str, tuple]]:
+    """Config, vocabulary and tensor manifest, checked against the config."""
+    try:
+        header = json.loads(fh.readline())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise CheckpointError(f"bad checkpoint header: {exc}") from None
+    if not isinstance(header, dict):
+        raise CheckpointError("bad checkpoint header: not a JSON object")
+    if header.get("format_version") != FORMAT_VERSION:
+        raise CheckpointError(
+            f"unsupported checkpoint format version {header.get('format_version')}"
+        )
+    try:
+        config = ModelConfig.from_dict(header["config"])
+        vocab = VocabularyMap.from_tokens(header["vocab"])
+        names = [spec["name"] for spec in header["tensors"]]
+        shapes = {spec["name"]: tuple(spec["shape"]) for spec in header["tensors"]}
+        grouping = encoder_grouping(config.variant)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(
+            f"malformed checkpoint header: {type(exc).__name__}: {exc}"
+        ) from None
+    if names != _canonical_param_order(grouping):
+        raise CheckpointError("tensor manifest does not match the canonical order")
+    if shapes != _param_shapes(config, len(vocab), grouping):
+        raise CheckpointError("tensor shapes do not match the config and vocabulary")
+    return config, vocab, names, shapes
 
 
 def load_checkpoint(path: str) -> ModelParams:
     with open(path, "rb") as fh:
-        header_line = fh.readline()
-        try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError as exc:
-            raise CheckpointError(f"bad checkpoint header: {exc}") from None
-        if header.get("format_version") != FORMAT_VERSION:
-            raise CheckpointError(
-                f"unsupported checkpoint format version {header.get('format_version')}"
-            )
-        config = ModelConfig.from_dict(header["config"])
-        vocab = VocabularyMap.from_tokens(header["vocab"])
+        config, vocab, names, shapes = _read_header(fh)
         arrays: dict[str, np.ndarray] = {}
-        for spec in header["tensors"]:
-            shape = tuple(spec["shape"])
-            count = int(np.prod(shape)) if shape else 1
+        for name in names:
+            count = int(np.prod(shapes[name]))
             buf = fh.read(count * 8)
             if len(buf) != count * 8:
-                raise CheckpointError(f"truncated tensor data for {spec['name']}")
-            arrays[spec["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+                raise CheckpointError(f"truncated tensor data for {name}")
+            arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shapes[name]).copy()
         if fh.read(1):
             raise CheckpointError("trailing bytes after tensor data")
-
-    params = ModelParams(
-        config=config,
-        vocab=vocab,
-        arrays=arrays,
-        param_order=[spec["name"] for spec in header["tensors"]],
-    )
-    expected = _canonical_param_order(params.grouping)
-    if params.param_order != expected:
-        raise CheckpointError("tensor manifest does not match the canonical order")
-    return params
+    return ModelParams(config=config, vocab=vocab, arrays=arrays, param_order=names)

@@ -16,10 +16,6 @@ class ModelVariant(str, Enum):
     NearestNeighbor = "nearest-neighbor"
 
 
-# Reference hidden/input sizes used at full scale; desk-scale defaults below.
-FULL_SCALE = {"embed_dim": 1324, "enc_hidden": 100, "dec_hidden": 100}
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     variant: ModelVariant = ModelVariant.Single9
@@ -54,6 +50,19 @@ class ModelConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         d = dict(d)
+        for name, value in d.items():
+            # A value must have its field's type; ints pass for floats.
+            default = cls.__dataclass_fields__[name].default
+            if name == "variant":
+                allowed = str
+            elif default is None:
+                allowed = (int, float, type(None))
+            elif isinstance(default, float):
+                allowed = (int, float)
+            else:
+                allowed = type(default)
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise ValueError(f"config value {name}={value!r} has the wrong type")
         if "variant" in d:
             d["variant"] = ModelVariant(d["variant"])
         return cls(**d)

@@ -10,11 +10,26 @@ recurrent encoders (one per encoder group, each direction hidden size
 h_enc/2, final states concatenated); an affine bridge per encoder group
 initializes the per-dimension unidirectional decoder, whose state is
 projected to vocabulary logits through W_o, b_o.
+
+One batched engine, :func:`batch_loss_and_grads`, runs the forward and
+backward pass of a whole minibatch; every other entry point is a call
+into its pieces. Each cell keeps its z/r/n gates stacked, one ``(3H, ·)``
+matrix per weight kind, and the per-gate names in ``arrays`` are row
+views into those stacks, so the names, canonical order and checkpoint
+format are per gate. A batch is grouped by encoder for the encoder pass
+and by dimension for the decoder pass. Each group's sequences are sorted
+longest first, padded with ``<pad>`` into a ``(T, B)`` id matrix and
+masked; the valid positions are packed time-major, so at step t the live
+rows are a prefix of the group. The input projection of all timesteps is
+one GEMM, leaving only ``U h`` in the recurrence, and every weight
+gradient is one GEMM over all valid timesteps (the cuDNN RNN recipe of
+Appleyard et al. 2016, arXiv:1604.01946, on CPU BLAS).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +40,7 @@ from ifthen.seq2seq.vocab import VocabularyMap
 from ifthen.taxonomy import Dimension
 
 CELL_KEYS = ("Wz", "Uz", "bz", "Wr", "Ur", "br", "Wn", "Un", "bn")
+GATES = "zrn"
 
 
 @dataclass(frozen=True)
@@ -37,13 +53,23 @@ class TrainingInstance:
     worker_id: str = ""
 
 
+class GRUCell(NamedTuple):
+    """A cell's gates stacked in z, r, n order: W (3H, I), U (3H, H), b (3H,)."""
+
+    W: np.ndarray
+    U: np.ndarray
+    b: np.ndarray
+
+
 class ModelParams:
     """Parameter container for one model variant.
 
     ``arrays`` maps structured names (``embedding``, ``encoder/<id>/fwd/Wz``,
     ``bridge/<id>/W``, ``decoder/<dim>/W_o``, ...) to float64 arrays;
     ``param_order`` is the canonical flattening order used by checkpoints,
-    the optimizer, and the gradient checker.
+    the optimizer, and the gradient checker. The constructor copies each
+    cell's nine arrays into stacked storage, and the per-gate entries of
+    ``arrays`` are views into it, so update them in place.
     """
 
     def __init__(
@@ -56,8 +82,12 @@ class ModelParams:
         self.config = config
         self.vocab = vocab
         self.grouping = encoder_grouping(config.variant)
-        self.arrays = arrays
+        self.arrays = dict(arrays)
         self.param_order = param_order
+        self._cells: dict[str, tuple[GRUCell, tuple]] = {}
+        for name in arrays:
+            if name.endswith("/Wz"):
+                self._stack_cell(name[: -len("/Wz")])
 
     @property
     def encoder_ids(self) -> list[str]:
@@ -70,8 +100,25 @@ class ModelParams:
     def cell(self, prefix: str) -> dict[str, np.ndarray]:
         return {k: self.arrays[f"{prefix}/{k}"] for k in CELL_KEYS}
 
+    def stacked_cell(self, prefix: str) -> GRUCell:
+        """The cell's stacked gates, restacked if a caller rebound a gate entry."""
+        cell, views = self._cells[prefix]
+        for name, view in views:
+            if self.arrays[name] is not view:
+                return self._stack_cell(prefix)
+        return cell
+
+    def _stack_cell(self, prefix: str) -> GRUCell:
+        names = [f"{prefix}/{kind}{gate}" for kind in "WUb" for gate in GATES]
+        cell = GRUCell(*(np.concatenate([self.arrays[n] for n in names[i : i + 3]])
+                         for i in (0, 3, 6)))
+        views = [part for stacked in cell for part in np.split(stacked, 3)]
+        self.arrays.update(zip(names, views))
+        self._cells[prefix] = (cell, tuple(zip(names, views)))
+        return cell
+
     def zero_grads(self) -> dict[str, np.ndarray]:
-        return {name: np.zeros_like(arr) for name, arr in self.arrays.items()}
+        return {name: np.zeros(arr.shape) for name, arr in self.arrays.items()}
 
 
 def _canonical_param_order(grouping: dict[Dimension, str]) -> list[str]:
@@ -88,7 +135,7 @@ def _canonical_param_order(grouping: dict[Dimension, str]) -> list[str]:
 
 def _cell_shapes(input_dim: int, hidden: int) -> dict[str, tuple[int, ...]]:
     shapes: dict[str, tuple[int, ...]] = {}
-    for gate in "zrn":
+    for gate in GATES:
         shapes[f"W{gate}"] = (hidden, input_dim)
         shapes[f"U{gate}"] = (hidden, hidden)
         shapes[f"b{gate}"] = (hidden,)
@@ -157,95 +204,283 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def gru_step(cell: dict[str, np.ndarray], x: np.ndarray, h_prev: np.ndarray):
-    """One gated-recurrent step; returns the new state and a backprop cache."""
-    z = _sigmoid(cell["Wz"] @ x + cell["Uz"] @ h_prev + cell["bz"])
-    r = _sigmoid(cell["Wr"] @ x + cell["Ur"] @ h_prev + cell["br"])
-    n = np.tanh(cell["Wn"] @ x + cell["Un"] @ (r * h_prev) + cell["bn"])
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, overwriting ``logits``.
+
+    In place because a decoder group's logits are (tokens, V) and would
+    otherwise be copied three times.
+    """
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
+
+
+def gru_step(cell: GRUCell, gx: np.ndarray, h_prev: np.ndarray):
+    """One gated-recurrent step for a batch of rows (or a single vector).
+
+    ``gx`` is the hoisted input projection ``x W^T + b``, stacked z, r, n
+    like the cell; only the recurrent ``U h`` products happen here.
+    Returns the new state and a backprop cache.
+    """
+    hidden = h_prev.shape[-1]
+    zr = _sigmoid(gx[..., : 2 * hidden] + h_prev @ cell.U[: 2 * hidden].T)
+    z, r = zr[..., :hidden], zr[..., hidden:]
+    n = np.tanh(gx[..., 2 * hidden :] + (r * h_prev) @ cell.U[2 * hidden :].T)
     h = (1.0 - z) * n + z * h_prev
-    return h, (x, h_prev, z, r, n)
+    return h, (h_prev, z, r, n)
 
 
-def gru_step_backward(
-    cell: dict[str, np.ndarray],
-    cache,
-    dh: np.ndarray,
-    grads: dict[str, np.ndarray],
-    prefix: str,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Backprop one step; accumulates into ``grads``, returns (dx, dh_prev)."""
-    x, h_prev, z, r, n = cache
+def gru_step_backward(cell: GRUCell, cache, dh: np.ndarray):
+    """Backprop one batched step.
+
+    Returns the gate pre-activation gradients ``(rows, 3H)``, stacked like
+    ``gx``, and the gradient reaching ``h_prev``. Weight gradients are
+    formed later from the pre-activation gradients of all steps at once.
+    """
+    h_prev, z, r, n = cache
+    hidden = h_prev.shape[-1]
+    dpre = np.empty((len(dh), 3 * hidden))
     dz = dh * (h_prev - n)
     dn = dh * (1.0 - z)
-    dh_prev = dh * z
-
-    dn_pre = dn * (1.0 - n * n)
-    grads[f"{prefix}/Wn"] += np.outer(dn_pre, x)
-    grads[f"{prefix}/Un"] += np.outer(dn_pre, r * h_prev)
-    grads[f"{prefix}/bn"] += dn_pre
-    drh = cell["Un"].T @ dn_pre
+    dn_pre = dpre[:, 2 * hidden :]
+    dn_pre[...] = dn * (1.0 - n * n)
+    drh = dn_pre @ cell.U[2 * hidden :]
     dr = drh * h_prev
-    dh_prev = dh_prev + drh * r
-
-    dz_pre = dz * z * (1.0 - z)
-    dr_pre = dr * r * (1.0 - r)
-    grads[f"{prefix}/Wz"] += np.outer(dz_pre, x)
-    grads[f"{prefix}/Uz"] += np.outer(dz_pre, h_prev)
-    grads[f"{prefix}/bz"] += dz_pre
-    grads[f"{prefix}/Wr"] += np.outer(dr_pre, x)
-    grads[f"{prefix}/Ur"] += np.outer(dr_pre, h_prev)
-    grads[f"{prefix}/br"] += dr_pre
-    dh_prev = dh_prev + cell["Uz"].T @ dz_pre + cell["Ur"].T @ dr_pre
-
-    dx = cell["Wz"].T @ dz_pre + cell["Wr"].T @ dr_pre + cell["Wn"].T @ dn_pre
-    return dx, dh_prev
+    dpre[:, :hidden] = dz * z * (1.0 - z)
+    dpre[:, hidden : 2 * hidden] = dr * r * (1.0 - r)
+    dh_prev = dh * z + drh * r + dpre[:, : 2 * hidden] @ cell.U[: 2 * hidden]
+    return dpre, dh_prev
 
 
-def _encode_with_cache(params: ModelParams, encoder_id: str, event_ids):
-    if len(event_ids) == 0:
-        raise ValueError("cannot encode an empty event sequence")
-    emb = params.arrays["embedding"]
-    half = params.config.enc_hidden // 2
-    fwd = params.cell(f"encoder/{encoder_id}/fwd")
-    bwd = params.cell(f"encoder/{encoder_id}/bwd")
+def _add_cell_grads(grads, prefix: str, dW, dU, db) -> None:
+    hidden = len(db) // 3
+    for i, gate in enumerate(GATES):
+        rows = slice(i * hidden, (i + 1) * hidden)
+        grads[f"{prefix}/W{gate}"] += dW[rows]
+        grads[f"{prefix}/U{gate}"] += dU[rows]
+        grads[f"{prefix}/b{gate}"] += db[rows]
 
-    h_f = np.zeros(half)
-    fwd_caches = []
-    for tok in event_ids:
-        h_f, cache = gru_step(fwd, emb[tok], h_f)
-        fwd_caches.append(cache)
-    h_b = np.zeros(half)
-    bwd_caches = []
-    for tok in reversed(event_ids):
-        h_b, cache = gru_step(bwd, emb[tok], h_b)
-        bwd_caches.append(cache)
-    return np.concatenate([h_f, h_b]), fwd_caches, bwd_caches
+
+class _Batch:
+    """Sequences sorted longest first, padded and masked, packed time-major.
+
+    Step t owns packed rows ``offsets[t]:offsets[t + 1]``, which belong to
+    the first ``offsets[t + 1] - offsets[t]`` sorted sequences; ``pos``
+    is the sorted sequence of each packed row and ``last`` the packed row
+    of each sorted sequence's final position.
+    """
+
+    def __init__(self, seqs, pad_id: int):
+        lengths = np.array([len(s) for s in seqs])
+        self.order = np.argsort(-lengths, kind="stable")
+        self.lengths = lengths[self.order]
+        self.pad_id = pad_id
+        self.mask = np.arange(self.lengths[0])[:, None] < self.lengths
+        offsets = np.concatenate(([0], np.cumsum(self.mask.sum(axis=1))))
+        self.offsets = offsets.tolist()
+        self.pos = np.nonzero(self.mask)[1]
+        self.last = offsets[self.lengths - 1] + np.arange(len(seqs))
+
+    def pack(self, seqs) -> np.ndarray:
+        padded = np.full(self.mask.shape, self.pad_id, dtype=np.intp)
+        for j, i in enumerate(self.order):
+            padded[: self.lengths[j], j] = seqs[i]
+        return padded[self.mask]
+
+    def unsort(self, rows: np.ndarray) -> np.ndarray:
+        out = np.empty_like(rows)
+        out[self.order] = rows
+        return out
+
+
+class _Recurrence:
+    """One cell run over a packed batch; keeps what its backward pass needs."""
+
+    def __init__(self, params: ModelParams, prefix: str, ids, offsets, h0):
+        self.prefix = prefix
+        self.cell = params.stacked_cell(prefix)
+        self.ids = ids
+        self.offsets = offsets
+        self.x = params.arrays["embedding"][ids]
+        gx = self.x @ self.cell.W.T + self.cell.b
+        self.states = np.empty((len(ids), h0.shape[1]))
+        self.caches = []
+        prev = h0
+        for lo, hi in zip(offsets, offsets[1:]):
+            h, cache = gru_step(self.cell, gx[lo:hi], prev[: hi - lo])
+            self.states[lo:hi] = h
+            self.caches.append(cache)
+            prev = self.states[lo:hi]
+
+    def backward(self, dstates: np.ndarray, grads) -> np.ndarray:
+        """Accumulate the gradients into ``grads``; return the initial state's.
+
+        ``dstates`` holds the gradient reaching each state from outside
+        the recurrence; it is overwritten.
+        """
+        offsets = self.offsets
+        dpre = np.empty((len(self.ids), self.cell.b.size))
+        for t in reversed(range(len(self.caches))):
+            lo, hi = offsets[t], offsets[t + 1]
+            dpre[lo:hi], dh_prev = gru_step_backward(self.cell, self.caches[t], dstates[lo:hi])
+            if t:
+                dstates[offsets[t - 1] : offsets[t - 1] + hi - lo] += dh_prev
+        h_prev = np.concatenate([c[0] for c in self.caches])
+        rh = np.concatenate([c[2] * c[0] for c in self.caches])
+        zr = 2 * h_prev.shape[1]
+        d_u = np.concatenate((dpre[:, :zr].T @ h_prev, dpre[:, zr:].T @ rh))
+        _add_cell_grads(grads, self.prefix, dpre.T @ self.x, d_u, dpre.sum(axis=0))
+        np.add.at(grads["embedding"], self.ids, dpre @ self.cell.W)
+        return dh_prev
+
+
+class _Encoder:
+    """Bidirectional encoding of a group of events sharing one encoder."""
+
+    def __init__(self, params: ModelParams, encoder_id: str, events):
+        if any(len(e) == 0 for e in events):
+            raise ValueError("cannot encode an empty event sequence")
+        self.batch = b = _Batch(events, params.vocab.pad_id)
+        h0 = np.zeros((len(events), params.config.enc_hidden // 2))
+        prefix = f"encoder/{encoder_id}"
+        self.fwd = _Recurrence(params, f"{prefix}/fwd", b.pack(events), b.offsets, h0)
+        self.bwd = _Recurrence(params, f"{prefix}/bwd", b.pack([e[::-1] for e in events]),
+                               b.offsets, h0)
+        # Final forward and backward states, concatenated, in input order.
+        self.h = b.unsort(np.concatenate((self.fwd.states[b.last], self.bwd.states[b.last]),
+                                         axis=1))
+
+    def backward(self, dh: np.ndarray, grads) -> None:
+        b = self.batch
+        dh = dh[b.order]
+        half = dh.shape[1] // 2
+        for rnn, d_final in ((self.fwd, dh[:, :half]), (self.bwd, dh[:, half:])):
+            dstates = np.zeros_like(rnn.states)
+            dstates[b.last] = d_final
+            rnn.backward(dstates, grads)
+
+
+class _Decoder:
+    """Teacher-forced decoding of one dimension's group of targets."""
+
+    def __init__(self, params: ModelParams, dimension: Dimension, targets, s0: np.ndarray):
+        bos, eos = params.vocab.bos_id, params.vocab.eos_id
+        inputs = [(bos, *t) for t in targets]
+        self.batch = b = _Batch(inputs, params.vocab.pad_id)
+        self.golds = b.pack([(*t, eos) for t in targets])
+        prefix = f"decoder/{dimension.value}"
+        self.w_o = params.arrays[f"{prefix}/W_o"]
+        self.b_o = params.arrays[f"{prefix}/b_o"]
+        self.rnn = _Recurrence(params, prefix, b.pack(inputs), b.offsets, s0[b.order])
+        logits = self.rnn.states @ self.w_o.T
+        logits += self.b_o
+        self.probs = _softmax(logits)
+        nll = -np.log(self.probs[np.arange(len(self.golds)), self.golds])
+        # Per instance: mean token cross entropy, summed in time order.
+        self.losses = b.unsort(np.bincount(b.pos, weights=nll) / b.lengths)
+
+    def backward(self, grads, weight: float) -> np.ndarray:
+        """Accumulate ``weight`` times the gradient of every instance loss;
+        return the gradient of the initial states, in input order."""
+        b, prefix = self.batch, self.rnn.prefix
+        dlogits = self.probs
+        dlogits[np.arange(len(self.golds)), self.golds] -= 1.0
+        dlogits *= (weight / b.lengths)[b.pos, None]
+        grads[f"{prefix}/W_o"] += dlogits.T @ self.rnn.states
+        grads[f"{prefix}/b_o"] += dlogits.sum(axis=0)
+        return b.unsort(self.rnn.backward(dlogits @ self.w_o, grads))
+
+
+def _encoder_of(params: ModelParams, dimension) -> tuple[Dimension, str]:
+    dimension = Dimension(dimension)
+    if dimension not in params.grouping:
+        raise ValueError(
+            f"{dimension.value} is not modeled by variant {params.config.variant.value}"
+        )
+    return dimension, params.grouping[dimension]
+
+
+def _bridge(params: ModelParams, encoder_id: str):
+    return params.arrays[f"bridge/{encoder_id}/W"], params.arrays[f"bridge/{encoder_id}/b"]
+
+
+def batch_loss_and_grads(
+    params: ModelParams,
+    batch: list[TrainingInstance],
+    grads: dict[str, np.ndarray],
+    instance_losses: list[tuple[str, float]] | None = None,
+) -> float:
+    """Multitask objective for one batch, forward and backward.
+
+    The loss is the mean over dimensions present in the batch of the mean
+    instance loss for that dimension; gradients are weighted accordingly
+    and accumulated into ``grads``, so a batch containing only one
+    dimension touches only that dimension's decoder and its shared
+    encoder. Per-instance losses are appended to ``instance_losses``,
+    grouped by dimension in order of first appearance.
+    """
+    by_dim: dict[Dimension, list[int]] = {}
+    by_encoder: dict[str, list[int]] = {}
+    for k, inst in enumerate(batch):
+        dim, eid = _encoder_of(params, inst.dimension)
+        by_dim.setdefault(dim, []).append(k)
+        by_encoder.setdefault(eid, []).append(k)
+
+    s0 = np.empty((len(batch), params.config.dec_hidden))
+    encoders = {}
+    for eid, rows in by_encoder.items():
+        encoders[eid] = enc = _Encoder(params, eid, [batch[k].event_ids for k in rows])
+        w_b, b_b = _bridge(params, eid)
+        s0[rows] = enc.h @ w_b.T + b_b
+
+    losses = np.empty(len(batch))
+    ds0 = np.empty_like(s0)
+    for dim, rows in by_dim.items():
+        dec = _Decoder(params, dim, [batch[k].target_ids for k in rows], s0[rows])
+        losses[rows] = dec.losses
+        ds0[rows] = dec.backward(grads, 1.0 / (len(by_dim) * len(rows)))
+
+    for eid, rows in by_encoder.items():
+        enc, ds = encoders[eid], ds0[rows]
+        w_b, _ = _bridge(params, eid)
+        grads[f"bridge/{eid}/W"] += ds.T @ enc.h
+        grads[f"bridge/{eid}/b"] += ds.sum(axis=0)
+        enc.backward(ds @ w_b, grads)
+
+    total = 0.0
+    for dim, rows in by_dim.items():
+        dim_losses = [float(losses[k]) for k in rows]
+        if instance_losses is not None:
+            instance_losses.extend((dim.value, v) for v in dim_losses)
+        total += sum(dim_losses) / len(rows)
+    return total / len(by_dim)
+
+
+def loss_and_grads(
+    params: ModelParams,
+    instance: TrainingInstance,
+    grads: dict[str, np.ndarray],
+) -> float:
+    """Forward + backward for one instance: a one-instance batch.
+
+    Accumulates the gradient into ``grads`` and returns the loss.
+    """
+    return batch_loss_and_grads(params, [instance], grads)
 
 
 def encode(params: ModelParams, encoder_id: str, event_ids) -> np.ndarray:
     """Bidirectional encoding: concatenated final forward/backward states."""
-    h, _, _ = _encode_with_cache(params, encoder_id, event_ids)
-    return h
+    return _Encoder(params, encoder_id, [event_ids]).h[0]
 
 
 def initial_decoder_state(
     params: ModelParams, dimension: Dimension, event_ids
 ) -> np.ndarray:
     """Encode the event with the dimension's encoder and bridge to h_dec."""
-    dimension = Dimension(dimension)
-    if dimension not in params.grouping:
-        raise ValueError(
-            f"{dimension.value} is not modeled by variant {params.config.variant.value}"
-        )
-    eid = params.grouping[dimension]
-    h = encode(params, eid, event_ids)
-    return params.arrays[f"bridge/{eid}/W"] @ h + params.arrays[f"bridge/{eid}/b"]
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
-    exp = np.exp(shifted)
-    return exp / exp.sum()
+    _, eid = _encoder_of(params, dimension)
+    w_b, b_b = _bridge(params, eid)
+    return w_b @ encode(params, eid, event_ids) + b_b
 
 
 def decode_step(
@@ -255,113 +490,19 @@ def decode_step(
     prev_token_id: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance the decoder one token; returns (next-token distribution, state)."""
-    dim = Dimension(dimension).value
-    cell = params.cell(f"decoder/{dim}")
-    x = params.arrays["embedding"][prev_token_id]
-    new_h, _ = gru_step(cell, x, hidden_state)
-    logits = params.arrays[f"decoder/{dim}/W_o"] @ new_h + params.arrays[f"decoder/{dim}/b_o"]
+    prefix = f"decoder/{Dimension(dimension).value}"
+    cell = params.stacked_cell(prefix)
+    gx = cell.W @ params.arrays["embedding"][prev_token_id] + cell.b
+    new_h, _ = gru_step(cell, gx, hidden_state)
+    logits = params.arrays[f"{prefix}/W_o"] @ new_h + params.arrays[f"{prefix}/b_o"]
     return _softmax(logits), new_h
-
-
-def _teacher_forced_ids(params: ModelParams, instance: TrainingInstance):
-    bos, eos = params.vocab.bos_id, params.vocab.eos_id
-    inputs = (bos,) + tuple(instance.target_ids)
-    golds = tuple(instance.target_ids) + (eos,)
-    return inputs, golds
 
 
 def sequence_loss(params: ModelParams, instance: TrainingInstance) -> float:
     """Teacher-forced cross entropy, averaged over target positions."""
-    state = initial_decoder_state(params, instance.dimension, instance.event_ids)
-    inputs, golds = _teacher_forced_ids(params, instance)
-    total = 0.0
-    for inp, gold in zip(inputs, golds):
-        probs, state = decode_step(params, instance.dimension, state, inp)
-        total -= np.log(probs[gold])
-    return total / len(golds)
-
-
-def loss_and_grads(
-    params: ModelParams,
-    instance: TrainingInstance,
-    grads: dict[str, np.ndarray],
-    weight: float = 1.0,
-) -> float:
-    """Forward + backward for one instance.
-
-    Accumulates ``weight`` times the gradient into ``grads`` and returns
-    the (unweighted) loss.
-    """
-    dim = Dimension(instance.dimension)
-    if dim not in params.grouping:
-        raise ValueError(
-            f"{dim.value} is not modeled by variant {params.config.variant.value}"
-        )
-    eid = params.grouping[dim]
-    emb = params.arrays["embedding"]
-    half = params.config.enc_hidden // 2
-    event_ids = list(instance.event_ids)
-
-    h, fwd_caches, bwd_caches = _encode_with_cache(params, eid, event_ids)
-    w_bridge = params.arrays[f"bridge/{eid}/W"]
-    s0 = w_bridge @ h + params.arrays[f"bridge/{eid}/b"]
-
-    dec_prefix = f"decoder/{dim.value}"
-    dec_cell = params.cell(dec_prefix)
-    w_o = params.arrays[f"{dec_prefix}/W_o"]
-    b_o = params.arrays[f"{dec_prefix}/b_o"]
-
-    inputs, golds = _teacher_forced_ids(params, instance)
-    state = s0
-    states = []  # state after consuming inputs[i]
-    caches = []
-    probs_seq = []
-    total = 0.0
-    for inp, gold in zip(inputs, golds):
-        state, cache = gru_step(dec_cell, emb[inp], state)
-        probs = _softmax(w_o @ state + b_o)
-        total -= np.log(probs[gold])
-        states.append(state)
-        caches.append(cache)
-        probs_seq.append(probs)
-    m = len(golds)
-    loss = total / m
-
-    # Backward through the decoder stack.
-    ds_next = np.zeros_like(s0)
-    for i in reversed(range(m)):
-        dlogits = probs_seq[i].copy()
-        dlogits[golds[i]] -= 1.0
-        dlogits *= weight / m
-        grads[f"{dec_prefix}/W_o"] += np.outer(dlogits, states[i])
-        grads[f"{dec_prefix}/b_o"] += dlogits
-        ds = w_o.T @ dlogits + ds_next
-        dx, ds_next = gru_step_backward(dec_cell, caches[i], ds, grads, dec_prefix)
-        grads["embedding"][inputs[i]] += dx
-
-    # Bridge.
-    ds0 = ds_next
-    grads[f"bridge/{eid}/W"] += np.outer(ds0, h)
-    grads[f"bridge/{eid}/b"] += ds0
-    dh = w_bridge.T @ ds0
-
-    # Encoder, both directions (only the final states receive gradient).
-    fwd = params.cell(f"encoder/{eid}/fwd")
-    bwd = params.cell(f"encoder/{eid}/bwd")
-    n = len(event_ids)
-    dh_next = dh[:half]
-    for t in reversed(range(n)):
-        dx, dh_next = gru_step_backward(
-            fwd, fwd_caches[t], dh_next, grads, f"encoder/{eid}/fwd"
-        )
-        grads["embedding"][event_ids[t]] += dx
-    dh_next = dh[half:]
-    for t in reversed(range(n)):
-        dx, dh_next = gru_step_backward(
-            bwd, bwd_caches[t], dh_next, grads, f"encoder/{eid}/bwd"
-        )
-        grads["embedding"][event_ids[n - 1 - t]] += dx
-    return loss
+    dim, _ = _encoder_of(params, instance.dimension)
+    s0 = initial_decoder_state(params, dim, instance.event_ids)
+    return float(_Decoder(params, dim, [instance.target_ids], s0[None]).losses[0])
 
 
 def make_training_instances(

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from ifthen.seq2seq.model import ModelParams, TrainingInstance, loss_and_grads
+from ifthen.seq2seq.model import ModelParams, TrainingInstance, batch_loss_and_grads
 
 log = logging.getLogger(__name__)
 
@@ -17,7 +17,11 @@ class NumericError(RuntimeError):
 
 
 class AdamOptimizer:
-    """Standard Adam update over the model's named arrays."""
+    """Standard Adam update over the model's named arrays, in place.
+
+    Two scratch buffers sized to the largest tensor serve every tensor in
+    turn, so a step allocates nothing.
+    """
 
     def __init__(self, params: ModelParams, learning_rate: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -26,8 +30,10 @@ class AdamOptimizer:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.arrays.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.arrays.items()}
+        self.m = {k: np.zeros(v.shape) for k, v in params.arrays.items()}
+        self.v = {k: np.zeros(v.shape) for k, v in params.arrays.items()}
+        largest = max(v.size for v in params.arrays.values())
+        self._scratch = (np.empty(largest), np.empty(largest))
 
     def step(self, params: ModelParams, grads: dict[str, np.ndarray]) -> None:
         self.t += 1
@@ -37,11 +43,24 @@ class AdamOptimizer:
             g = grads[name]
             m = self.m[name]
             v = self.v[name]
+            s, d = (buf[: g.size].reshape(g.shape) for buf in self._scratch)
+            # The textbook operation order, so equal gradients give
+            # bit-identical updates:
+            # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps).
+            np.multiply(g, 1.0 - self.beta1, out=s)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += s
+            np.multiply(g, 1.0 - self.beta2, out=s)
+            s *= g
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            params.arrays[name] -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            v += s
+            np.divide(m, bc1, out=s)
+            s *= self.lr
+            np.divide(v, bc2, out=d)
+            np.sqrt(d, out=d)
+            d += self.eps
+            s /= d
+            params.arrays[name] -= s
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
@@ -54,36 +73,6 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
     return total
 
 
-def batch_loss_and_grads(
-    params: ModelParams,
-    batch: list[TrainingInstance],
-    grads: dict[str, np.ndarray],
-    instance_losses: list[tuple[str, float]] | None = None,
-) -> float:
-    """Multitask objective for one batch.
-
-    The loss is the mean over dimensions present in the batch of the mean
-    instance loss for that dimension; gradients are weighted accordingly,
-    so a batch containing only one dimension touches only that
-    dimension's decoder and its shared encoder.
-    """
-    by_dim: dict[str, list[TrainingInstance]] = {}
-    for inst in batch:
-        by_dim.setdefault(inst.dimension.value, []).append(inst)
-    num_dims = len(by_dim)
-    total = 0.0
-    for insts in by_dim.values():
-        weight = 1.0 / (num_dims * len(insts))
-        dim_total = 0.0
-        for inst in insts:
-            inst_loss = loss_and_grads(params, inst, grads, weight=weight)
-            dim_total += inst_loss
-            if instance_losses is not None:
-                instance_losses.append((inst.dimension.value, inst_loss))
-        total += dim_total / len(insts)
-    return total / num_dims
-
-
 def train(
     params: ModelParams,
     dataset: list[TrainingInstance],
@@ -92,8 +81,8 @@ def train(
     """Train in place; returns the params and the per-epoch loss trace.
 
     Deterministic given the config seed. Aborts with :class:`NumericError`
-    on a non-finite loss. When ``early_stop_loss`` is set, training stops
-    as soon as an epoch's mean loss falls below it.
+    on a non-finite loss or gradient norm. When ``early_stop_loss`` is set,
+    training stops as soon as an epoch's mean loss falls below it.
     """
     if config is None:
         config = params.config
@@ -101,20 +90,26 @@ def train(
         raise ValueError("empty training dataset")
     rng = np.random.default_rng(config.seed)
     optimizer = AdamOptimizer(params, config.learning_rate)
+    grads = params.zero_grads()
     trace: list[float] = []
     for epoch in range(config.epochs):
         perm = rng.permutation(len(dataset))
         instance_losses: list[tuple[str, float]] = []
         for start in range(0, len(dataset), config.batch_size):
             batch = [dataset[i] for i in perm[start : start + config.batch_size]]
-            grads = params.zero_grads()
+            for g in grads.values():
+                g.fill(0.0)
             loss = batch_loss_and_grads(params, batch, grads, instance_losses)
             if not math.isfinite(loss):
                 raise NumericError(
                     f"non-finite loss {loss} at epoch {epoch}, batch start {start}"
                 )
+            norm = clip_gradients(grads, config.clip_norm)
+            if not math.isfinite(norm):
+                raise NumericError(
+                    f"non-finite gradient norm {norm} at epoch {epoch}, batch start {start}"
+                )
             if config.learning_rate != 0.0:
-                clip_gradients(grads, config.clip_norm)
                 optimizer.step(params, grads)
         # Dataset-level multitask loss: mean over dimensions of the mean
         # instance loss, invariant to how the epoch was batched.

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -67,3 +69,16 @@ def random_instance(params, rng=None, event_len=4, target_len=3, dim=None):
         dimension=dim,
         target_ids=tuple(int(x) for x in rng.integers(8, v, size=target_len)),
     )
+
+
+def poison_gradients(monkeypatch):
+    """Make every batch's gradient NaN while its loss stays finite."""
+    train_module = importlib.import_module("ifthen.seq2seq.train")
+    real = train_module.batch_loss_and_grads
+
+    def poisoned(params, batch, grads, instance_losses=None):
+        loss = real(params, batch, grads, instance_losses)
+        grads["embedding"][0, 0] = np.nan
+        return loss
+
+    monkeypatch.setattr(train_module, "batch_loss_and_grads", poisoned)

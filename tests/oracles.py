@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 
 def bleu2_oracle(candidate: list[str], references: list[list[str]], eps: float = 0.1) -> float:
     """Scalar re-derivation of order-2 smoothed sentence BLEU."""
@@ -129,3 +131,138 @@ def overlap_oracle(atlas, edges, normalizer, group_dims, group_relations):
                 matched += 1
                 break
     return 100.0 * matched / total if total else 0.0
+
+
+_CELL_KEYS = ("Wz", "Uz", "bz", "Wr", "Ur", "br", "Wn", "Un", "bn")
+
+
+def _ref_sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def _ref_softmax(logits):
+    exp = np.exp(logits - logits.max())
+    return exp / exp.sum()
+
+
+def _ref_gru_step(c, x, h_prev):
+    z = _ref_sigmoid(c["Wz"] @ x + c["Uz"] @ h_prev + c["bz"])
+    r = _ref_sigmoid(c["Wr"] @ x + c["Ur"] @ h_prev + c["br"])
+    n = np.tanh(c["Wn"] @ x + c["Un"] @ (r * h_prev) + c["bn"])
+    return (1.0 - z) * n + z * h_prev, (x, h_prev, z, r, n)
+
+
+def _ref_gru_step_backward(c, cache, dh, g):
+    """One token of backprop; ``g`` holds the cell's gradient arrays."""
+    x, h_prev, z, r, n = cache
+    dz = dh * (h_prev - n)
+    dn = dh * (1.0 - z)
+    dh_prev = dh * z
+    dn_pre = dn * (1.0 - n * n)
+    g["Wn"] += np.outer(dn_pre, x)
+    g["Un"] += np.outer(dn_pre, r * h_prev)
+    g["bn"] += dn_pre
+    drh = c["Un"].T @ dn_pre
+    dr = drh * h_prev
+    dh_prev = dh_prev + drh * r
+    dz_pre = dz * z * (1.0 - z)
+    dr_pre = dr * r * (1.0 - r)
+    g["Wz"] += np.outer(dz_pre, x)
+    g["Uz"] += np.outer(dz_pre, h_prev)
+    g["bz"] += dz_pre
+    g["Wr"] += np.outer(dr_pre, x)
+    g["Ur"] += np.outer(dr_pre, h_prev)
+    g["br"] += dr_pre
+    dh_prev = dh_prev + c["Uz"].T @ dz_pre + c["Ur"].T @ dr_pre
+    dx = c["Wz"].T @ dz_pre + c["Wr"].T @ dr_pre + c["Wn"].T @ dn_pre
+    return dx, dh_prev
+
+
+def instance_loss_and_grads_reference(arrays, grads, encoder_id, dimension,
+                                      event_ids, target_ids, bos, eos, weight=1.0):
+    """One instance, one token at a time, with outer-product weight gradients.
+
+    ``arrays`` and ``grads`` map the model's parameter names to arrays;
+    ``weight`` times the gradient of the mean token cross entropy is
+    added to ``grads``. Returns the unweighted loss.
+    """
+    def cell(store, prefix):
+        return {k: store[f"{prefix}/{k}"] for k in _CELL_KEYS}
+
+    emb, g_emb = arrays["embedding"], grads["embedding"]
+    enc = f"encoder/{encoder_id}"
+    fwd, bwd = cell(arrays, f"{enc}/fwd"), cell(arrays, f"{enc}/bwd")
+    half = fwd["bz"].size
+    h_f, fwd_caches = np.zeros(half), []
+    for tok in event_ids:
+        h_f, cache = _ref_gru_step(fwd, emb[tok], h_f)
+        fwd_caches.append(cache)
+    h_b, bwd_caches = np.zeros(half), []
+    for tok in reversed(event_ids):
+        h_b, cache = _ref_gru_step(bwd, emb[tok], h_b)
+        bwd_caches.append(cache)
+    h = np.concatenate([h_f, h_b])
+    w_bridge = arrays[f"bridge/{encoder_id}/W"]
+    state = w_bridge @ h + arrays[f"bridge/{encoder_id}/b"]
+
+    dec = f"decoder/{dimension}"
+    dec_cell = cell(arrays, dec)
+    w_o, b_o = arrays[f"{dec}/W_o"], arrays[f"{dec}/b_o"]
+    inputs = [bos] + list(target_ids)
+    golds = list(target_ids) + [eos]
+    states, caches, probs_seq, total = [], [], [], 0.0
+    for inp, gold in zip(inputs, golds):
+        state, cache = _ref_gru_step(dec_cell, emb[inp], state)
+        probs = _ref_softmax(w_o @ state + b_o)
+        total -= math.log(probs[gold])
+        states.append(state)
+        caches.append(cache)
+        probs_seq.append(probs)
+    m = len(golds)
+
+    ds_next = np.zeros_like(state)
+    for i in reversed(range(m)):
+        dlogits = probs_seq[i].copy()
+        dlogits[golds[i]] -= 1.0
+        dlogits *= weight / m
+        grads[f"{dec}/W_o"] += np.outer(dlogits, states[i])
+        grads[f"{dec}/b_o"] += dlogits
+        dx, ds_next = _ref_gru_step_backward(
+            dec_cell, caches[i], w_o.T @ dlogits + ds_next, cell(grads, dec))
+        g_emb[inputs[i]] += dx
+    grads[f"bridge/{encoder_id}/W"] += np.outer(ds_next, h)
+    grads[f"bridge/{encoder_id}/b"] += ds_next
+    dh = w_bridge.T @ ds_next
+    n = len(event_ids)
+    dh_next = dh[:half]
+    for t in reversed(range(n)):
+        dx, dh_next = _ref_gru_step_backward(fwd, fwd_caches[t], dh_next, cell(grads, f"{enc}/fwd"))
+        g_emb[event_ids[t]] += dx
+    dh_next = dh[half:]
+    for t in reversed(range(n)):
+        dx, dh_next = _ref_gru_step_backward(bwd, bwd_caches[t], dh_next, cell(grads, f"{enc}/bwd"))
+        g_emb[event_ids[n - 1 - t]] += dx
+    return total / m
+
+
+def batch_loss_and_grads_reference(arrays, encoder_of, batch, bos, eos):
+    """Multitask batch objective by per-instance loops.
+
+    ``batch`` holds ``(event ids, dimension name, target ids)`` triples and
+    ``encoder_of`` maps a dimension name to its encoder id. The loss is the
+    mean over dimensions of the mean instance loss. Returns the loss and
+    the gradient of every parameter.
+    """
+    grads = {name: np.zeros_like(arr) for name, arr in arrays.items()}
+    by_dim: dict[str, list] = {}
+    for inst in batch:
+        by_dim.setdefault(inst[1], []).append(inst)
+    total = 0.0
+    for dim, insts in by_dim.items():
+        weight = 1.0 / (len(by_dim) * len(insts))
+        dim_total = 0.0
+        for event_ids, _, target_ids in insts:
+            dim_total += instance_loss_and_grads_reference(
+                arrays, grads, encoder_of[dim], dim, event_ids, target_ids, bos, eos, weight)
+        total += dim_total / len(insts)
+    return total / len(by_dim), grads

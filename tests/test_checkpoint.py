@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -68,3 +70,62 @@ def test_garbage_header_rejected(tmp_path):
     path.write_bytes(b"not json\n\x00\x01")
     with pytest.raises(CheckpointError):
         load_checkpoint(str(path))
+
+
+def rewrite_header(path, mutate):
+    line, rest = path.read_bytes().split(b"\n", 1)
+    header = json.loads(line)
+    mutate(header)
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + rest)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda h: h.pop("config"),
+        lambda h: h.pop("vocab"),
+        lambda h: h.pop("tensors"),
+        lambda h: h["tensors"][0].pop("name"),
+        lambda h: h["tensors"][3].pop("shape"),
+        lambda h: h["tensors"][3].update(shape=[2, 2]),
+        lambda h: h["config"].update(epochs="2"),
+        lambda h: h["config"].update(learning_rate=None),
+        lambda h: h["config"].update(variant="no-such-variant"),
+        lambda h: h.update(vocab="not a token list"),
+    ],
+    ids=["no-config", "no-vocab", "no-tensors", "no-name", "no-shape", "wrong-shape",
+         "str-epochs", "null-rate", "bad-variant", "bad-vocab"],
+)
+def test_malformed_header_rejected(mutate, tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(toy_params(seed=26), str(path))
+    rewrite_header(path, mutate)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(str(path))
+
+
+def test_non_object_header_rejected(tmp_path):
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(b"[1, 2]\n")
+    with pytest.raises(CheckpointError):
+        load_checkpoint(str(path))
+
+
+def test_failed_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(toy_params(seed=27), str(path))
+    before = path.read_bytes()
+    real = np.ascontiguousarray
+    calls = []
+
+    def fail_mid_write(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "ascontiguousarray", fail_mid_write)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(toy_params(seed=28), str(path))
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]

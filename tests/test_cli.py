@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from conftest import poison_gradients
+
 from ifthen.cli import run
 
 ATLAS = """\
@@ -184,6 +186,22 @@ class TestExitCodes:
 
     def test_missing_file(self, tmp_path, capsys):
         assert run(["stats", "--atlas", str(tmp_path / "nope.tsv")]) == 2
+
+    def test_checkpoint_without_config_is_data_error(self, atlas, tmp_path, capsys):
+        ckpt = tmp_path / "model.ckpt"
+        assert run(train_args(atlas, str(ckpt))) == 0
+        line, rest = ckpt.read_bytes().split(b"\n", 1)
+        header = json.loads(line)
+        del header["config"]
+        ckpt.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + rest)
+        assert run(["generate", "--ckpt", str(ckpt), "--atlas", atlas,
+                    "--out", str(tmp_path / "g.jsonl")]) == 2
+        assert "data error" in capsys.readouterr().err
+
+    def test_nan_gradient_is_numeric_failure(self, atlas, tmp_path, capsys, monkeypatch):
+        poison_gradients(monkeypatch)
+        assert run(train_args(atlas, str(tmp_path / "model.ckpt"))) == 3
+        assert "numeric failure" in capsys.readouterr().err
 
     def test_bad_ratios(self, atlas, tmp_path, capsys):
         assert run(["split", "--atlas", atlas, "--ratios", "0.5,0.5",

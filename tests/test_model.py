@@ -9,6 +9,7 @@ from conftest import random_instance, toy_params, toy_vocab
 
 from ifthen.seq2seq import ModelConfig, ModelVariant, encoder_grouping, init_params
 from ifthen.seq2seq.model import (
+    ModelParams,
     TrainingInstance,
     decode_step,
     encode,
@@ -182,6 +183,20 @@ class TestDecodeStep:
         total = sum(exps)
         np.testing.assert_allclose(new_state, h, atol=1e-12)
         np.testing.assert_allclose(probs, [e / total for e in exps], atol=1e-12)
+
+    def test_rebound_gate_entry_is_used(self):
+        # Gate entries are views into stacked storage; rebinding one to a
+        # new array must still take effect.
+        params = toy_params(seed=12)
+        dim = params.decoder_dims[0]
+        name = f"decoder/{dim.value}/Wn"
+        state = np.zeros(params.config.dec_hidden)
+        before, _ = decode_step(params, dim, state, 9)
+        params.arrays[name] = params.arrays[name] * 2.0
+        after, _ = decode_step(params, dim, state, 9)
+        fresh = ModelParams(params.config, params.vocab, params.arrays, params.param_order)
+        assert not np.allclose(before, after)
+        np.testing.assert_array_equal(after, decode_step(fresh, dim, state, 9)[0])
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000), prev=st.integers(0, 29))

@@ -2,10 +2,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_instance, toy_params
+from conftest import poison_gradients, random_instance, toy_params
+
+from oracles import batch_loss_and_grads_reference
 
 from ifthen.seq2seq import (
+    AdamOptimizer,
     ModelConfig,
     ModelVariant,
     NumericError,
@@ -80,6 +85,61 @@ class TestBatchObjective:
             for n, g in grads.items()
             if n.startswith("encoder/voluntary/")
         )
+
+
+ALL_VARIANTS = (
+    ModelVariant.Single9,
+    ModelVariant.EventInvolEvent,
+    ModelVariant.EventPersonXY,
+    ModelVariant.EventPrePost,
+)
+
+
+class TestBatchedEngine:
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_token_reference(self, variant, data):
+        # Mixed dimensions and lengths; any id, <pad> included, may occur.
+        params = toy_params(variant, seed=data.draw(st.integers(0, 1000)))
+        ids = st.lists(st.integers(0, len(params.vocab) - 1), min_size=1, max_size=8)
+        batch = [
+            TrainingInstance(tuple(data.draw(ids)), data.draw(st.sampled_from(params.decoder_dims)),
+                             tuple(data.draw(ids)))
+            for _ in range(data.draw(st.integers(1, 12)))
+        ]
+        grads = params.zero_grads()
+        loss = batch_loss_and_grads(params, batch, grads)
+        ref_loss, ref_grads = batch_loss_and_grads_reference(
+            params.arrays,
+            {d.value: eid for d, eid in params.grouping.items()},
+            [(i.event_ids, i.dimension.value, i.target_ids) for i in batch],
+            params.vocab.bos_id,
+            params.vocab.eos_id,
+        )
+        assert abs(loss - ref_loss) <= 1e-12
+        for name, ref in ref_grads.items():
+            np.testing.assert_allclose(grads[name], ref, rtol=0, atol=1e-12, err_msg=name)
+
+
+class TestAdam:
+    def test_step_equals_textbook_formula(self):
+        params = toy_params(seed=5)
+        lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
+        opt = AdamOptimizer(params, lr, b1, b2, eps)
+        expected = {n: a.copy() for n, a in params.arrays.items()}
+        m = {n: np.zeros_like(a) for n, a in expected.items()}
+        v = {n: np.zeros_like(a) for n, a in expected.items()}
+        rng = np.random.default_rng(0)
+        for t in range(1, 4):
+            grads = {n: rng.normal(size=a.shape) for n, a in expected.items()}
+            opt.step(params, grads)
+            for n, g in grads.items():
+                m[n] = b1 * m[n] + (1 - b1) * g
+                v[n] = b2 * v[n] + (1 - b2) * g * g
+                expected[n] = expected[n] - lr * (m[n] / (1 - b1**t)) / (
+                    np.sqrt(v[n] / (1 - b2**t)) + eps)
+                np.testing.assert_array_equal(params.arrays[n], expected[n], err_msg=n)
 
 
 class TestTrain:
@@ -162,4 +222,12 @@ class TestTrain:
         inst = TrainingInstance((8,), Dimension.xIntent, (9,))
         cfg = dataclasses.replace(params.config, epochs=1)
         with pytest.raises(NumericError):
+            train(params, [inst], cfg)
+
+    def test_nan_gradient_with_finite_loss_aborts(self, monkeypatch):
+        poison_gradients(monkeypatch)
+        params = toy_params(seed=0)
+        inst = TrainingInstance((8,), Dimension.xIntent, (9,))
+        cfg = dataclasses.replace(params.config, epochs=1)
+        with pytest.raises(NumericError, match="gradient norm"):
             train(params, [inst], cfg)
