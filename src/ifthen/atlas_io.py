@@ -6,17 +6,38 @@ JSON-lines file with the same five keys. ``#``-prefixed lines are
 comments; ``none`` is the empty-annotation sentinel. Writers emit
 canonical order (event text, dimension name, target text, worker id)
 so write-then-parse is byte-identical on well-formed input.
+:func:`atomic_write` is how the package writes its output files.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 from typing import IO, Iterable
 
 from ifthen.graph import EventPhrase, InferenceTarget, Split, Triple
 from ifthen.taxonomy import Dimension
 
 TSV_COLUMNS = ("event", "dimension", "target", "split", "worker_id")
+
+
+@contextlib.contextmanager
+def atomic_write(path: str, mode: str = "w"):
+    """Open a sibling temporary file that replaces ``path`` once complete.
+
+    A failure before the end leaves any previous file at ``path`` intact
+    and removes the temporary file.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 class AtlasFormatError(ValueError):

@@ -13,7 +13,7 @@ import json
 import sys
 
 from ifthen import atlas_io, evaluation, generation
-from ifthen.atlas_io import AtlasFormatError, parse_atlas_file
+from ifthen.atlas_io import AtlasFormatError, atomic_write, parse_atlas_file
 from ifthen.evaluation import EvalError
 from ifthen.graph import Split, Triple, build_graph, graph_stats, query_inferences
 from ifthen.ingest import (
@@ -60,9 +60,29 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+class _CommandParser(_Parser):
+    """Leaves flags that were not given out of the namespace.
+
+    ``flags`` keeps each flag's action and default, so a ``--config``
+    value fills exactly the flags not given, even one equal to its default.
+    """
+
+    def __init__(self, *args, **kwargs):
+        self.flags: dict[str, tuple[argparse.Action, object]] = {}
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.default is not argparse.SUPPRESS:
+            self.flags[action.dest] = (action, action.default)
+            action.default = argparse.SUPPRESS
+        return action
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ifthen", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_CommandParser)
 
     def add(name: str, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text, parents=[], add_help=True)
@@ -166,23 +186,40 @@ def _build_parser() -> _Parser:
     p.add_argument("--hidden", type=int, default=16)
     p.add_argument("--epsilon", type=float, default=1e-4)
     p.add_argument("--samples", type=int, default=200)
+    parser.commands = sub.choices
     return parser
 
 
-def _apply_config(parser_defaults: dict, args: argparse.Namespace) -> argparse.Namespace:
-    """Fold a --config JSON file under explicit flags."""
-    if not getattr(args, "config", None):
-        return args
-    with open(args.config, encoding="utf-8") as fh:
-        settings = json.load(fh)
-    known = set(vars(args))
-    unknown = set(settings) - known
-    if unknown:
-        raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    for key, value in settings.items():
-        # Flags explicitly given on the command line win over the file.
-        if getattr(args, key) == parser_defaults.get(key):
-            setattr(args, key, value)
+def _check_config_value(action: argparse.Action, value) -> None:
+    """A config value must have the type its flag parses to."""
+    if action.nargs == 0:  # on/off switch
+        ok = isinstance(value, bool)
+    elif action.type in (int, float):
+        ok = not isinstance(value, bool) and isinstance(
+            value, int if action.type is int else (int, float))
+    else:
+        ok = isinstance(value, str) or (value is None and action.default is None)
+    if not ok or (action.choices is not None and value not in action.choices):
+        raise UsageError(f"config value {action.dest}={value!r} is not valid for its flag")
+
+
+def _apply_config(parser: _CommandParser, args: argparse.Namespace) -> argparse.Namespace:
+    """Fill the flags not given on the command line: from the --config
+    file if it sets them, else from their defaults."""
+    settings = {}
+    if getattr(args, "config", None):
+        with open(args.config, encoding="utf-8") as fh:
+            settings = json.load(fh)
+        if not isinstance(settings, dict):
+            raise UsageError("the --config file must hold a JSON object")
+        unknown = set(settings) - set(parser.flags)
+        if unknown:
+            raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in settings.items():
+            _check_config_value(parser.flags[key][0], value)
+    for key, (_, default) in parser.flags.items():
+        if not hasattr(args, key):
+            setattr(args, key, settings.get(key, default))
     return args
 
 
@@ -191,7 +228,7 @@ def _emit_resolved_config(args: argparse.Namespace) -> None:
     if not out:
         return
     resolved = {k: v for k, v in sorted(vars(args).items()) if k != "config"}
-    with open(out + ".config.json", "w", encoding="utf-8") as fh:
+    with atomic_write(out + ".config.json") as fh:
         json.dump(resolved, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -199,7 +236,7 @@ def _emit_resolved_config(args: argparse.Namespace) -> None:
 def _write_json(data, out_path: str | None) -> None:
     text = json.dumps(data, indent=2, sort_keys=True)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with atomic_write(out_path) as fh:
             fh.write(text + "\n")
     print(text)
 
@@ -222,7 +259,7 @@ def _cmd_ingest(args) -> int:
                    t.dimension, t.target, t.worker_id, t.split)
             for t in triples
         ]
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with atomic_write(args.out) as fh:
         if args.out.endswith(".jsonl"):
             atlas_io.write_atlas_jsonl(triples, fh)
         else:
@@ -291,18 +328,21 @@ def _cmd_train(args) -> int:
     train_triples = [t for t in triples if t.split is Split.Train]
     if not train_triples:
         raise IngestError("no train-split triples in atlas")
-    config = ModelConfig(
-        variant=ModelVariant(args.variant),
-        embed_dim=args.embed_dim,
-        enc_hidden=args.enc_hidden,
-        dec_hidden=args.dec_hidden,
-        max_decode_len=args.max_decode_len,
-        learning_rate=args.learning_rate,
-        batch_size=args.batch_size,
-        epochs=args.epochs,
-        seed=args.seed,
-        min_count=args.min_count,
-    )
+    try:
+        config = ModelConfig(
+            variant=ModelVariant(args.variant),
+            embed_dim=args.embed_dim,
+            enc_hidden=args.enc_hidden,
+            dec_hidden=args.dec_hidden,
+            max_decode_len=args.max_decode_len,
+            learning_rate=args.learning_rate,
+            batch_size=args.batch_size,
+            epochs=args.epochs,
+            seed=args.seed,
+            min_count=args.min_count,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     vocab = build_vocab(train_triples, config.min_count)
     pretrained = None
     if args.embeddings:
@@ -323,7 +363,19 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _dims(names: str | None, available: list[Dimension]) -> list[Dimension]:
+    """The dimensions named by ``--dims``, or all available ones."""
+    if not names:
+        return available
+    unknown = [n for n in names.split(",") if n not in {d.value for d in available}]
+    if unknown:
+        raise UsageError(f"--dims names unknown or unmodeled dimensions: {unknown}")
+    return [Dimension(n) for n in names.split(",")]
+
+
 def _cmd_generate(args) -> int:
+    if args.beam_width < 1:
+        raise UsageError("--beam-width must be at least 1")
     triples = parse_atlas_file(args.atlas)
     if args.event is not None:
         events = [args.event]
@@ -337,9 +389,7 @@ def _cmd_generate(args) -> int:
         with open(args.embeddings, encoding="utf-8") as fh:
             embeddings = load_embedding_file(fh)
         train_graph = build_graph([t for t in triples if t.split is Split.Train])
-        dims = (
-            [Dimension(d) for d in args.dims.split(",")] if args.dims else list(Dimension)
-        )
+        dims = _dims(args.dims, list(Dimension))
         results = [
             generation.nearest_neighbor_predict(
                 train_graph, embeddings, ev, dim, k=args.beam_width
@@ -351,11 +401,7 @@ def _cmd_generate(args) -> int:
         if not args.ckpt:
             raise UsageError("--ckpt is required unless --nearest is used")
         params = load_checkpoint(args.ckpt)
-        dims = (
-            [Dimension(d) for d in args.dims.split(",")]
-            if args.dims
-            else params.decoder_dims
-        )
+        dims = _dims(args.dims, params.decoder_dims)
         results = [
             generation.beam_search(
                 params, ev, dim, beam_width=args.beam_width,
@@ -364,7 +410,7 @@ def _cmd_generate(args) -> int:
             for ev in events
             for dim in dims
         ]
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with atomic_write(args.out) as fh:
         generation.write_generations(results, fh)
     _emit_resolved_config(args)
     print(f"wrote {len(results)} generation lists to {args.out}")
@@ -389,7 +435,7 @@ def _cmd_export_human_eval(args) -> int:
     sheet = evaluation.export_human_eval_sheet(
         gens, sample_size=args.sample_size, seed=args.seed
     )
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with atomic_write(args.out) as fh:
         evaluation.write_sheet(sheet, fh)
     _emit_resolved_config(args)
     print(f"wrote {len(sheet.rows)} sheet rows to {args.out}")
@@ -475,13 +521,7 @@ def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        defaults = {
-            action.dest: action.default
-            for action in parser._subparsers._group_actions[0]
-            .choices[args.command]
-            ._actions
-        }
-        args = _apply_config(defaults, args)
+        args = _apply_config(parser.commands[args.command], args)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -1,9 +1,16 @@
 """Ranked inference generation: beam search and the retrieval baseline.
 
 Beam scores are raw (length-unnormalized) sums of token log-probabilities;
-hypotheses retire on ``<eos>`` or at the length cap, duplicates keep their
-best score, and ties break lexicographically on token ids so results are
+hypotheses retire on ``<eos>`` or at the length cap, each sequence is
+listed once, and ties break lexicographically on token ids so results are
 fully deterministic.
+
+Each length step advances every alive hypothesis with one batched
+``decode_step`` over a ``(B, H)`` state matrix and scores all ``B x V``
+candidates as one array. Every ``<eos>`` candidate enters the pool of
+finished hypotheses; of the rest, a partition finds the ``beam_width``-th
+best score and only the candidates scoring at least that are sorted by
+(-score, token ids), so the selection is exact, ties included.
 """
 
 from __future__ import annotations
@@ -67,45 +74,44 @@ def beam_search(
     eos = params.vocab.eos_id
     unk = params.vocab.unk_id
 
-    s0 = initial_decoder_state(params, dimension, event_ids)
-    # Alive hypothesis: (emitted ids, score, decoder state, last consumed id).
-    alive: list[tuple[tuple[int, ...], float, np.ndarray, int]] = [
-        ((), 0.0, s0, params.vocab.bos_id)
-    ]
+    # Alive hypotheses: their emitted ids, and row by row their scores,
+    # decoder states and last consumed ids.
+    alive: list[tuple[int, ...]] = [()]
+    scores = np.zeros(1)
+    states = initial_decoder_state(params, dimension, event_ids)[None]
+    last = np.array([params.vocab.bos_id])
     pool: dict[tuple[int, ...], float] = {}
 
     for _ in range(max_len):
-        candidates: list[tuple[tuple[int, ...], float, np.ndarray]] = []
-        for ids, score, state, last in alive:
-            probs, new_state = decode_step(params, dimension, state, last)
-            logp = np.log(np.maximum(probs, 1e-300))
-            if suppress_unk:
-                keep = 1.0 - probs[unk]
-                logp = logp - math.log(max(keep, 1e-300))
-                logp[unk] = -math.inf
-            for tok in range(len(logp)):
-                if logp[tok] == -math.inf:
-                    continue
-                candidates.append((ids + (tok,), score + float(logp[tok]), new_state))
-        candidates.sort(key=lambda c: (-c[1], c[0]))
-        alive = []
-        for ids, score, state in candidates:
-            if ids[-1] == eos:
-                seq = ids[:-1]
-                if seq not in pool or score > pool[seq]:
-                    pool[seq] = score
-            elif len(alive) < beam_width:
-                alive.append((ids, score, state, ids[-1]))
+        probs, states = decode_step(params, dimension, states, last)
+        cand = np.log(np.maximum(probs, 1e-300))
+        if suppress_unk:
+            cand -= np.log(np.maximum(1.0 - probs[:, unk], 1e-300))[:, None]
+            cand[:, unk] = -math.inf
+        cand += scores[:, None]
+        # Alive hypotheses are distinct and one step longer than any
+        # already in the pool, so no key repeats.
+        pool.update(zip(alive, cand[:, eos].tolist()))
         if len(pool) > beam_width:
             # Completed scores are final, so only the best width can matter.
             pool = dict(
                 sorted(pool.items(), key=lambda kv: (-kv[1], kv[0]))[:beam_width]
             )
-        if not alive:
+        cand[:, eos] = -math.inf
+        flat = cand.ravel()
+        k = min(beam_width, int(np.count_nonzero(flat > -math.inf)))
+        if k == 0:
             break
-    for ids, score, _, _ in alive:
-        if ids not in pool or score > pool[ids]:
-            pool[ids] = score
+        # Sort exactly only the candidates scoring at least the k-th best.
+        kth = np.partition(flat, flat.size - k)[flat.size - k]
+        rows, toks = np.divmod(np.flatnonzero(flat >= kth), cand.shape[1])
+        best = sorted(zip(rows.tolist(), toks.tolist()),
+                      key=lambda c: (-cand[c], alive[c[0]], c[1]))[:k]
+        rows, toks = map(list, zip(*best))
+        alive = [alive[r] + (t,) for r, t in best]
+        scores, states, last = cand[rows, toks], states[rows], np.array(toks)
+    else:  # hypotheses still alive at the length cap
+        pool.update(zip(alive, scores.tolist()))
 
     ranked = sorted(pool.items(), key=lambda kv: (-kv[1], kv[0]))[:beam_width]
     entries = tuple(

@@ -11,10 +11,10 @@ complete, so a failed write leaves any previous checkpoint intact.
 from __future__ import annotations
 
 import json
-import os
 
 import numpy as np
 
+from ifthen.atlas_io import atomic_write
 from ifthen.seq2seq.config import ModelConfig
 from ifthen.seq2seq.grouping import encoder_grouping
 from ifthen.seq2seq.model import ModelParams, _canonical_param_order, _param_shapes
@@ -37,19 +37,12 @@ def save_checkpoint(params: ModelParams, path: str) -> None:
             for name in params.param_order
         ],
     }
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8"))
-            fh.write(b"\n")
-            for name in params.param_order:
-                arr = np.ascontiguousarray(params.arrays[name], dtype="<f8")
-                fh.write(arr.tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    with atomic_write(path, "wb") as fh:
+        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8"))
+        fh.write(b"\n")
+        for name in params.param_order:
+            arr = np.ascontiguousarray(params.arrays[name], dtype="<f8")
+            fh.write(arr.tobytes())
 
 
 def _read_header(fh) -> tuple[ModelConfig, VocabularyMap, list[str], dict[str, tuple]]:

@@ -34,7 +34,8 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if self.enc_hidden % 2 != 0:
             raise ValueError("enc_hidden must be even (bidirectional halves)")
-        for name in ("embed_dim", "enc_hidden", "dec_hidden", "max_decode_len"):
+        for name in ("embed_dim", "enc_hidden", "dec_hidden", "max_decode_len",
+                     "batch_size", "epochs", "min_count"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
 

@@ -487,14 +487,20 @@ def decode_step(
     params: ModelParams,
     dimension: Dimension,
     hidden_state: np.ndarray,
-    prev_token_id: int,
+    prev_token_id: int | np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Advance the decoder one token; returns (next-token distribution, state)."""
+    """Advance the decoder one token; returns (next-token distribution, state).
+
+    Takes one state ``(H,)`` and one previous id, giving ``(V,)`` and
+    ``(H,)``, or a batch of states ``(B, H)`` and ``(B,)`` ids, giving
+    ``(B, V)`` and ``(B, H)``: row i is that row's own step.
+    """
     prefix = f"decoder/{Dimension(dimension).value}"
     cell = params.stacked_cell(prefix)
-    gx = cell.W @ params.arrays["embedding"][prev_token_id] + cell.b
+    gx = params.arrays["embedding"][prev_token_id] @ cell.W.T + cell.b
     new_h, _ = gru_step(cell, gx, hidden_state)
-    logits = params.arrays[f"{prefix}/W_o"] @ new_h + params.arrays[f"{prefix}/b_o"]
+    logits = new_h @ params.arrays[f"{prefix}/W_o"].T
+    logits += params.arrays[f"{prefix}/b_o"]
     return _softmax(logits), new_h
 
 

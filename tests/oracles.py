@@ -78,6 +78,45 @@ def enumerate_sequences(step_logprobs, eos_id: int, max_len: int):
     return results
 
 
+def beam_search_reference(step_logprobs, bos, eos, unk, width, max_len, suppress_unk):
+    """Beam search one hypothesis at a time, one Python tuple per candidate.
+
+    ``step_logprobs(consumed)`` returns the next-token log-probabilities
+    ``log(max(p, 1e-300))`` after the consumed ids, which start with
+    ``bos``. With ``suppress_unk`` the ``unk`` token is dropped and the
+    rest renormalized. Candidates sort by (-score, ids); hypotheses retire
+    on ``eos`` or at ``max_len``. Returns the ranked ``(ids, score)`` list.
+    """
+    alive = [((), 0.0)]
+    pool: dict[tuple[int, ...], float] = {}
+    for _ in range(max_len):
+        candidates = []
+        for ids, score in alive:
+            logp = list(step_logprobs((bos,) + ids))
+            if suppress_unk:
+                shift = math.log(max(1.0 - math.exp(logp[unk]), 1e-300))
+                logp = [lp - shift for lp in logp]
+                logp[unk] = -math.inf
+            for tok, lp in enumerate(logp):
+                if lp != -math.inf:
+                    candidates.append((ids + (tok,), score + lp))
+        candidates.sort(key=lambda c: (-c[1], c[0]))
+        alive = []
+        for ids, score in candidates:
+            if ids[-1] == eos:
+                seq = ids[:-1]
+                if seq not in pool or score > pool[seq]:
+                    pool[seq] = score
+            elif len(alive) < width:
+                alive.append((ids, score))
+        if not alive:
+            break
+    for ids, score in alive:
+        if ids not in pool or score > pool[ids]:
+            pool[ids] = score
+    return sorted(pool.items(), key=lambda kv: (-kv[1], kv[0]))[:width]
+
+
 def stats_oracle(triples):
     """Naive re-scan of deduplicated triples (event, dimension, target texts)."""
     from ifthen.graph import normalize_node_text

@@ -6,6 +6,7 @@ from conftest import make_triple
 
 from ifthen.atlas_io import (
     AtlasFormatError,
+    atomic_write,
     parse_atlas_jsonl,
     parse_atlas_tsv,
     write_atlas_jsonl,
@@ -96,3 +97,16 @@ def test_jsonl_unknown_key_rejected():
     )
     with pytest.raises(AtlasFormatError, match="unknown keys"):
         parse_atlas_jsonl(io.StringIO(line))
+
+
+def test_atomic_write_replaces_only_when_complete(tmp_path):
+    path = tmp_path / "report.json"
+    with atomic_write(str(path)) as fh:
+        fh.write("first\n")
+    assert path.read_text() == "first\n"
+    with pytest.raises(OSError, match="disk full"):
+        with atomic_write(str(path)) as fh:
+            fh.write("half of the sec")
+            raise OSError("disk full")
+    assert path.read_text() == "first\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]

@@ -4,7 +4,9 @@ import pytest
 
 from conftest import poison_gradients
 
+from ifthen import generation
 from ifthen.cli import run
+from ifthen.seq2seq import ModelConfig
 
 ATLAS = """\
 PersonX runs home\txWant\tto rest\ttrain\tw1
@@ -203,6 +205,70 @@ class TestExitCodes:
         assert run(train_args(atlas, str(tmp_path / "model.ckpt"))) == 3
         assert "numeric failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [{"epochs": "2"}, {"epochs": 2.0}, {"epochs": True},
+                                       {"learning_rate": "fast"}, {"variant": "nine"},
+                                       {"embeddings": 3}])
+    def test_wrongly_typed_config_value_is_usage_error(self, atlas, tmp_path, capsys, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(value))
+        ckpt = tmp_path / "model.ckpt"
+        assert run(train_args(atlas, str(ckpt), ["--config", str(cfg)])) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not ckpt.exists()
+
+    def test_non_object_config_is_usage_error(self, atlas, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('["epochs"]')
+        assert run(["stats", "--atlas", atlas, "--config", str(cfg)]) == 1
+        assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--enc-hidden", "7"], ["--epochs", "0"],
+                                      ["--batch-size", "0"], ["--min-count", "0"]])
+    def test_invalid_model_setting_is_usage_error(self, atlas, tmp_path, capsys, flag):
+        assert run(train_args(atlas, str(tmp_path / "m.ckpt"), flag)) == 1
+        assert "usage error" in capsys.readouterr().err
+
+    def test_beam_width_below_one_is_usage_error(self, atlas, tmp_path, capsys):
+        for nearest in ([], ["--nearest", "--embeddings", str(tmp_path / "e.tsv")]):
+            assert run(["generate", "--ckpt", str(tmp_path / "m.ckpt"), "--atlas", atlas,
+                        "--beam-width", "0", "--out", str(tmp_path / "g.jsonl")]
+                       + nearest) == 1
+            assert "--beam-width" in capsys.readouterr().err
+
+    def test_unknown_dims_is_usage_error(self, atlas, tmp_path, capsys):
+        ckpt = tmp_path / "model.ckpt"
+        assert run(train_args(atlas, str(ckpt))) == 0
+        capsys.readouterr()
+        assert run(["generate", "--ckpt", str(ckpt), "--atlas", atlas,
+                    "--dims", "xWant,xFoo", "--out", str(tmp_path / "g.jsonl")]) == 1
+        assert "xFoo" in capsys.readouterr().err
+        assert not (tmp_path / "g.jsonl").exists()
+
+    def test_dims_outside_variant_is_usage_error(self, atlas, tmp_path, capsys):
+        ckpt = tmp_path / "model.ckpt"
+        assert run(train_args(atlas, str(ckpt), ["--variant", "event-prepost"])) == 0
+        assert run(["generate", "--ckpt", str(ckpt), "--atlas", atlas,
+                    "--dims", "xAttr", "--out", str(tmp_path / "g.jsonl")]) == 1
+
+    def test_failed_dump_keeps_previous_file(self, atlas, tmp_path, monkeypatch):
+        ckpt, gen = tmp_path / "model.ckpt", tmp_path / "gen.jsonl"
+        assert run(train_args(atlas, str(ckpt))) == 0
+        generate = ["generate", "--ckpt", str(ckpt), "--atlas", atlas,
+                    "--beam-width", "2", "--max-len", "3", "--out", str(gen)]
+        assert run(generate) == 0
+        before = gen.read_bytes()
+        real = generation.write_generations
+
+        def fail_mid_write(lists, stream):
+            real(lists[:1], stream)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(generation, "write_generations", fail_mid_write)
+        with pytest.raises(OSError, match="disk full"):
+            run(generate[:-1] + [str(gen)])
+        assert gen.read_bytes() == before
+        assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
     def test_bad_ratios(self, atlas, tmp_path, capsys):
         assert run(["split", "--atlas", atlas, "--ratios", "0.5,0.5",
                     "--out", str(tmp_path / "s.json")]) == 1
@@ -230,6 +296,18 @@ class TestConfigLayering:
                     "--config", str(cfg), "--epochs", "1"]) == 0
         resolved = json.loads((tmp_path / "model.ckpt.config.json").read_text())
         assert resolved["epochs"] == 1
+
+    def test_flag_equal_to_default_overrides_config(self, atlas, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epochs": 1, "seed": 5, "dec_hidden": 8}))
+        ckpt = tmp_path / "model.ckpt"
+        epochs, seed = ModelConfig.epochs, ModelConfig.seed
+        assert run(["train", "--atlas", atlas, "--out", str(ckpt), "--config", str(cfg),
+                    "--epochs", str(epochs), "--seed", str(seed),
+                    "--embed-dim", "8", "--enc-hidden", "8"]) == 0
+        resolved = json.loads((tmp_path / "model.ckpt.config.json").read_text())
+        assert (resolved["epochs"], resolved["seed"], resolved["dec_hidden"]) == (epochs, seed, 8)
+        assert f"for {epochs} epochs" in capsys.readouterr().out
 
     def test_unknown_config_key_rejected(self, atlas, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

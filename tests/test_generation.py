@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import make_triple, toy_params
 
-from oracles import enumerate_sequences
+from oracles import beam_search_reference, enumerate_sequences
 
 from ifthen.generation import (
     GenerationList,
@@ -19,6 +19,7 @@ from ifthen.generation import (
     write_generations,
 )
 from ifthen.graph import build_graph
+from ifthen.seq2seq import ModelVariant
 from ifthen.seq2seq.model import decode_step, initial_decoder_state
 from ifthen.taxonomy import Dimension
 
@@ -99,6 +100,46 @@ class TestBeamSearch:
         result = beam_search(params, "w0 w1", dim, beam_width=5, suppress_unk=True)
         for tokens, _ in result.entries:
             assert "<unk>" not in tokens
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        variant=st.sampled_from([v for v in ModelVariant if v is not ModelVariant.NearestNeighbor]),
+        vocab_size=st.integers(10, 30),
+        width=st.integers(1, 12),
+        max_len=st.integers(1, 5),
+        suppress_unk=st.booleans(),
+        flat_output=st.booleans(),
+        event=st.lists(st.integers(0, 9), min_size=1, max_size=4),
+    )
+    def test_matches_reference_loop(self, seed, variant, vocab_size, width, max_len,
+                                    suppress_unk, flat_output, event):
+        params = toy_params(variant=variant, vocab_size=vocab_size, hidden=8, seed=seed)
+        dim = params.decoder_dims[seed % len(params.decoder_dims)]
+        if flat_output:
+            # Every token ties at every step: only the tie-break orders them.
+            params.arrays[f"decoder/{dim.value}/W_o"][:] = 0.0
+            params.arrays[f"decoder/{dim.value}/b_o"][:] = 0.0
+        event_ids = [i % vocab_size for i in event]
+        replays = {}
+
+        def step_logprobs(consumed):
+            if consumed not in replays:
+                state = initial_decoder_state(params, dim, event_ids)
+                for tok in consumed:
+                    probs, state = decode_step(params, dim, state, tok)
+                replays[consumed] = np.log(np.maximum(probs, 1e-300)).tolist()
+            return replays[consumed]
+
+        vocab = params.vocab
+        expected = beam_search_reference(step_logprobs, vocab.bos_id, vocab.eos_id,
+                                         vocab.unk_id, width, max_len, suppress_unk)
+        result = beam_search(params, [vocab.tokens[i] for i in event_ids], dim,
+                             beam_width=width, max_len=max_len, suppress_unk=suppress_unk)
+        assert [tokens for tokens, _ in result.entries] == [
+            tuple(vocab.tokens[i] for i in ids) for ids, _ in expected]
+        for (_, score), (_, ref_score) in zip(result.entries, expected):
+            assert abs(score - ref_score) < 1e-12
 
     def test_invalid_width(self):
         params = toy_params()

@@ -199,6 +199,22 @@ class TestDecodeStep:
         np.testing.assert_array_equal(after, decode_step(fresh, dim, state, 9)[0])
 
     @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10_000), rows=st.integers(1, 12))
+    def test_batched_rows_equal_single_calls(self, seed, rows):
+        params = toy_params(seed=seed)
+        dim = params.decoder_dims[seed % len(params.decoder_dims)]
+        rng = np.random.default_rng(seed)
+        states = rng.normal(size=(rows, params.config.dec_hidden))
+        prev = rng.integers(0, len(params.vocab), size=rows)
+        probs, new_states = decode_step(params, dim, states, prev)
+        assert probs.shape == (rows, len(params.vocab))
+        assert new_states.shape == states.shape
+        for i in range(rows):
+            row_probs, row_state = decode_step(params, dim, states[i], int(prev[i]))
+            np.testing.assert_allclose(probs[i], row_probs, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(new_states[i], row_state, rtol=0, atol=1e-12)
+
+    @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000), prev=st.integers(0, 29))
     def test_distribution_property(self, seed, prev):
         params = toy_params(seed=seed)
