@@ -149,6 +149,6 @@ def write_atlas_jsonl(triples: Iterable[Triple], stream: IO[str]) -> None:
 def parse_atlas_file(path: str) -> list[Triple]:
     """Parse a triple file, dispatching on extension (.jsonl vs TSV)."""
     with open(path, encoding="utf-8") as fh:
-        if path.endswith((".jsonl", ".jsons", ".ndjson")):
+        if path.endswith(".jsonl"):
             return parse_atlas_jsonl(fh)
         return parse_atlas_tsv(fh)

@@ -1,7 +1,7 @@
 """Single command-line entry point for reproducible workflows.
 
 Layered settings: argparse defaults < ``--config`` JSON file < explicit
-flags. Every run with an ``--out`` target also writes the fully resolved
+flags. Every successful run with an ``--out`` target also writes the resolved
 settings next to it (``<out>.config.json``). Exit codes: 0 success,
 1 usage error, 2 data error, 3 numeric failure.
 """
@@ -120,7 +120,7 @@ def _build_parser() -> _Parser:
     p = add("train", "train a model variant on the train split")
     p.add_argument("--atlas", required=True, help="triple file")
     p.add_argument("--variant", default=ModelConfig.variant.value,
-                   choices=[v.value for v in ModelVariant if v is not ModelVariant.NearestNeighbor])
+                   choices=[v.value for v in ModelVariant])
     p.add_argument("--epochs", type=int, default=ModelConfig.epochs)
     p.add_argument("--seed", type=int, default=ModelConfig.seed)
     p.add_argument("--embed-dim", type=int, default=ModelConfig.embed_dim)
@@ -180,7 +180,7 @@ def _build_parser() -> _Parser:
 
     p = add("gradcheck", "finite-difference check of analytic gradients")
     p.add_argument("--variant", default=ModelConfig.variant.value,
-                   choices=[v.value for v in ModelVariant if v is not ModelVariant.NearestNeighbor])
+                   choices=[v.value for v in ModelVariant])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--vocab-size", type=int, default=30)
     p.add_argument("--hidden", type=int, default=16)
@@ -287,7 +287,6 @@ def _cmd_stats(args) -> int:
         "nodes_appearing_multiple": report.nodes_appearing_multiple,
     }
     _write_json(data, args.out)
-    _emit_resolved_config(args)
     return EXIT_OK
 
 
@@ -315,7 +314,6 @@ def _cmd_split(args) -> int:
         stopwords = default_stopwords()
     assignment = split_events(list(graph.events), ratios, args.seed, stopwords)
     _write_json({ev: s.value for ev, s in sorted(assignment.assignment.items())}, args.out)
-    _emit_resolved_config(args)
     counts = {s.value: 0 for s in Split}
     for s in assignment.assignment.values():
         counts[s.value] += 1
@@ -357,7 +355,6 @@ def _cmd_train(args) -> int:
     ]
     params, trace = train(params, instances, config)
     save_checkpoint(params, args.out)
-    _emit_resolved_config(args)
     print(f"trained {len(instances)} instances for {len(trace)} epochs; "
           f"final loss {trace[-1]:.4f}; checkpoint at {args.out}")
     return EXIT_OK
@@ -412,7 +409,6 @@ def _cmd_generate(args) -> int:
         ]
     with atomic_write(args.out) as fh:
         generation.write_generations(results, fh)
-    _emit_resolved_config(args)
     print(f"wrote {len(results)} generation lists to {args.out}")
     return EXIT_OK
 
@@ -425,7 +421,6 @@ def _cmd_eval_bleu(args) -> int:
         gens, gold, k=args.k, split=args.split, smoothing_epsilon=args.smoothing_epsilon
     )
     _write_json(report.to_dict(), args.out)
-    _emit_resolved_config(args)
     return EXIT_OK
 
 
@@ -437,7 +432,6 @@ def _cmd_export_human_eval(args) -> int:
     )
     with atomic_write(args.out) as fh:
         evaluation.write_sheet(sheet, fh)
-    _emit_resolved_config(args)
     print(f"wrote {len(sheet.rows)} sheet rows to {args.out}")
     return EXIT_OK
 
@@ -450,7 +444,6 @@ def _cmd_precision(args) -> int:
         return EXIT_OK
     result = evaluation.precision_at_10(sheet, valid_threshold=args.threshold)
     _write_json({"precision_at_10": result, "threshold": args.threshold}, args.out)
-    _emit_resolved_config(args)
     return EXIT_OK
 
 
@@ -465,7 +458,6 @@ def _cmd_overlap(args) -> int:
         "event_coverage": round(event_coverage(graph, edges), 3),
     }
     _write_json(result, args.out)
-    _emit_resolved_config(args)
     return EXIT_OK
 
 
@@ -522,7 +514,9 @@ def run(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         args = _apply_config(parser.commands[args.command], args)
-        return _COMMANDS[args.command](args)
+        status = _COMMANDS[args.command](args)
+        _emit_resolved_config(args)
+        return status
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

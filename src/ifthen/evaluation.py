@@ -10,7 +10,6 @@ rationals so the boundary is never a floating-point accident.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from collections import Counter
@@ -317,7 +316,3 @@ def precision_at_10(
         dim: 100.0 * sum(vals) / len(vals) for dim, vals in sorted(by_dim.items())
     }
 
-
-def write_eval_report(report: EvalReport, stream: IO[str]) -> None:
-    json.dump(report.to_dict(), stream, indent=2, sort_keys=True)
-    stream.write("\n")

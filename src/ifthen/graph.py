@@ -163,7 +163,9 @@ def build_graph(triples: list[Triple]) -> AtlasGraph:
     """Deduplicate triples and build the adjacency structure.
 
     Duplicates (same event text, dimension, target text after node
-    normalization) are collapsed, keeping every worker id as provenance.
+    normalization) are collapsed, keeping every worker id as provenance;
+    duplicates assigned to different splits raise ``ValueError``, since
+    keeping either split would leak the triple across the split boundary.
     Targets for o-dimensions on events without an explicit PersonY are
     legal (implied participants) and only produce a diagnostic.
     """
@@ -192,14 +194,12 @@ def build_graph(triples: list[Triple]) -> AtlasGraph:
                 "split": t.split,
             }
         else:
-            slot["workers"].add(t.worker_id)
             if slot["split"] is not t.split:
-                msg = (
-                    f"conflicting splits for duplicate triple {key}; "
-                    f"keeping {slot['split'].value}"
+                raise ValueError(
+                    f"conflicting splits for duplicate triple {key}: "
+                    f"{slot['split'].value} and {t.split.value}"
                 )
-                diagnostics.append(msg)
-                log.warning(msg)
+            slot["workers"].add(t.worker_id)
 
     edges = tuple(
         Edge(

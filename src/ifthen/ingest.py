@@ -2,9 +2,8 @@
 
 Covers the pipeline from raw event strings to normalized
 :class:`~ifthen.graph.EventPhrase` objects: person-variable substitution,
-blanking of infrequent arguments, coreference-vote filtering, and the
-grouped train/dev/test split that keeps events sharing their first two
-content words in the same set.
+blanking of infrequent arguments, and the grouped train/dev/test split
+that keeps events sharing their first two content words in the same set.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
-from typing import IO, Iterable
+from typing import IO
 
 from ifthen.graph import (
     BLANK_TOKEN,
@@ -60,22 +59,6 @@ class FrequencyTable:
                 return 1
             return ranked[NGRAMS_TOP_RANK - 1]
         return DEFAULT_MIN_COUNT[self.source]
-
-
-@dataclass(frozen=True)
-class CorefVoteRecord:
-    """Worker votes on whether a person-variable combination is valid."""
-
-    event_candidate: EventPhrase
-    votes_valid: int
-
-    NUM_WORKERS = 3
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.votes_valid <= self.NUM_WORKERS:
-            raise IngestError(
-                f"votes_valid must be in 0..{self.NUM_WORKERS}, got {self.votes_valid}"
-            )
 
 
 @dataclass(frozen=True)
@@ -218,11 +201,6 @@ def blank_infrequent_args(
             out.append(tokens[i])
             i += 1
     return EventPhrase.from_text(" ".join(out))
-
-
-def filter_coref_combinations(records: list[CorefVoteRecord]) -> list[EventPhrase]:
-    """Keep candidates at least two of three workers marked valid."""
-    return [r.event_candidate for r in records if r.votes_valid >= 2]
 
 
 def content_key(event: EventPhrase, stopwords: set[str]) -> tuple[str, str]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import IO, Callable
+from typing import IO
 
 from ifthen.graph import AtlasGraph, person_variable_of
 from ifthen.taxonomy import Dimension
@@ -89,9 +89,6 @@ def normalize_concept(text: str) -> str:
     return out
 
 
-Normalizer = Callable[[str], str]
-
-
 def load_edge_file(stream: IO[str]) -> set[ExternalEdge]:
     """TSV ``relation<TAB>start<TAB>end``; concepts are normalized on load."""
     edges = set()
@@ -113,11 +110,7 @@ def load_edge_file(stream: IO[str]) -> set[ExternalEdge]:
     return edges
 
 
-def triple_overlap(
-    atlas: AtlasGraph,
-    edges: set[ExternalEdge],
-    normalizer: Normalizer = normalize_concept,
-) -> dict[DimensionGroup, float]:
+def triple_overlap(atlas: AtlasGraph, edges: set[ExternalEdge]) -> dict[DimensionGroup, float]:
     """Percentage of each group's triples present as external edges.
 
     A triple overlaps when some edge whose relation belongs to the group
@@ -136,21 +129,17 @@ def triple_overlap(
             if e.dimension not in dims or e.target.is_empty:
                 continue
             total += 1
-            pair = (normalizer(e.event.text), normalizer(e.target.text))
+            pair = (normalize_concept(e.event.text), normalize_concept(e.target.text))
             if any(pair in by_relation.get(rel, ()) for rel in relations):
                 matched += 1
         result[group] = 100.0 * matched / total if total else 0.0
     return result
 
 
-def event_coverage(
-    atlas: AtlasGraph,
-    edges: set[ExternalEdge],
-    normalizer: Normalizer = normalize_concept,
-) -> float:
+def event_coverage(atlas: AtlasGraph, edges: set[ExternalEdge]) -> float:
     """Percentage of base events whose normalized text is an external concept."""
     if not atlas.events:
         return 0.0
     concepts = {e.start for e in edges} | {e.end for e in edges}
-    found = sum(1 for ev in atlas.events if normalizer(ev.text) in concepts)
+    found = sum(1 for ev in atlas.events if normalize_concept(ev.text) in concepts)
     return 100.0 * found / len(atlas.events)

@@ -2,7 +2,7 @@
 
 from ifthen.seq2seq.checkpoint import load_checkpoint, save_checkpoint
 from ifthen.seq2seq.config import ModelConfig, ModelVariant
-from ifthen.seq2seq.embeddings import load_embedding_file, write_embedding_file
+from ifthen.seq2seq.embeddings import load_embedding_file
 from ifthen.seq2seq.gradcheck import gradient_check
 from ifthen.seq2seq.grouping import encoder_grouping
 from ifthen.seq2seq.model import (
@@ -50,5 +50,4 @@ __all__ = [
     "save_checkpoint",
     "sequence_loss",
     "train",
-    "write_embedding_file",
 ]

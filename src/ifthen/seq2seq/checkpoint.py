@@ -16,8 +16,7 @@ import numpy as np
 
 from ifthen.atlas_io import atomic_write
 from ifthen.seq2seq.config import ModelConfig
-from ifthen.seq2seq.grouping import encoder_grouping
-from ifthen.seq2seq.model import ModelParams, _canonical_param_order, _param_shapes
+from ifthen.seq2seq.model import ModelParams, _param_shapes
 from ifthen.seq2seq.vocab import VocabularyMap
 
 FORMAT_VERSION = 1
@@ -62,14 +61,14 @@ def _read_header(fh) -> tuple[ModelConfig, VocabularyMap, list[str], dict[str, t
         vocab = VocabularyMap.from_tokens(header["vocab"])
         names = [spec["name"] for spec in header["tensors"]]
         shapes = {spec["name"]: tuple(spec["shape"]) for spec in header["tensors"]}
-        grouping = encoder_grouping(config.variant)
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(
             f"malformed checkpoint header: {type(exc).__name__}: {exc}"
         ) from None
-    if names != _canonical_param_order(grouping):
+    expected = _param_shapes(config, len(vocab))
+    if names != list(expected):
         raise CheckpointError("tensor manifest does not match the canonical order")
-    if shapes != _param_shapes(config, len(vocab), grouping):
+    if shapes != expected:
         raise CheckpointError("tensor shapes do not match the config and vocabulary")
     return config, vocab, names, shapes
 

@@ -7,13 +7,12 @@ from enum import Enum
 
 
 class ModelVariant(str, Enum):
-    """Encoder-sharing configurations, plus the retrieval baseline."""
+    """Encoder-sharing configurations."""
 
     Single9 = "single9"
     EventInvolEvent = "event-invol"
     EventPersonXY = "event-personxy"
     EventPrePost = "event-prepost"
-    NearestNeighbor = "nearest-neighbor"
 
 
 @dataclass(frozen=True)

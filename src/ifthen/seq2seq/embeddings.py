@@ -35,8 +35,3 @@ def load_embedding_file(stream: IO[str]) -> dict[str, np.ndarray]:
         vectors[token] = vec
     return vectors
 
-
-def write_embedding_file(vectors: dict[str, np.ndarray], stream: IO[str]) -> None:
-    for token in sorted(vectors):
-        floats = " ".join(repr(float(v)) for v in vectors[token])
-        stream.write(f"{token}\t{floats}\n")

@@ -49,6 +49,5 @@ def encoder_grouping(variant: ModelVariant) -> dict[Dimension, str]:
         }
     if variant is ModelVariant.EventPersonXY:
         return {**{d: "agent" for d in _AGENT}, **{d: "theme" for d in _THEME}}
-    if variant is ModelVariant.EventPrePost:
-        return {**{d: "pre" for d in _PRE}, **{d: "post" for d in _POST}}
-    raise ValueError(f"variant {variant.value} has no encoders")
+    # ModelVariant.EventPrePost
+    return {**{d: "pre" for d in _PRE}, **{d: "post" for d in _POST}}

@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ifthen.graph import Triple
-from ifthen.seq2seq.config import ModelConfig, ModelVariant
+from ifthen.seq2seq.config import ModelConfig
 from ifthen.seq2seq.grouping import encoder_grouping
 from ifthen.seq2seq.vocab import VocabularyMap
 from ifthen.taxonomy import Dimension
@@ -121,39 +121,24 @@ class ModelParams:
         return {name: np.zeros(arr.shape) for name, arr in self.arrays.items()}
 
 
-def _canonical_param_order(grouping: dict[Dimension, str]) -> list[str]:
-    order = ["embedding"]
-    for eid in sorted(set(grouping.values())):
-        order += [f"bridge/{eid}/W", f"bridge/{eid}/b"]
-        for direction in ("fwd", "bwd"):
-            order += [f"encoder/{eid}/{direction}/{k}" for k in CELL_KEYS]
-    for dim in sorted(grouping, key=lambda d: d.value):
-        order += [f"decoder/{dim.value}/{k}" for k in CELL_KEYS]
-        order += [f"decoder/{dim.value}/W_o", f"decoder/{dim.value}/b_o"]
-    return order
-
-
-def _cell_shapes(input_dim: int, hidden: int) -> dict[str, tuple[int, ...]]:
-    shapes: dict[str, tuple[int, ...]] = {}
-    for gate in GATES:
-        shapes[f"W{gate}"] = (hidden, input_dim)
-        shapes[f"U{gate}"] = (hidden, hidden)
-        shapes[f"b{gate}"] = (hidden,)
-    return shapes
-
-
-def _param_shapes(config: ModelConfig, vocab_size: int, grouping) -> dict[str, tuple]:
-    half = config.enc_hidden // 2
+def _param_shapes(config: ModelConfig, vocab_size: int) -> dict[str, tuple[int, ...]]:
+    """Every tensor's shape, keyed by name in the canonical flattening order."""
+    grouping = encoder_grouping(config.variant)
     shapes: dict[str, tuple[int, ...]] = {"embedding": (vocab_size, config.embed_dim)}
-    for eid in set(grouping.values()):
+
+    def cell(prefix: str, hidden: int) -> None:
+        for gate in GATES:
+            shapes[f"{prefix}/W{gate}"] = (hidden, config.embed_dim)
+            shapes[f"{prefix}/U{gate}"] = (hidden, hidden)
+            shapes[f"{prefix}/b{gate}"] = (hidden,)
+
+    for eid in sorted(set(grouping.values())):
         shapes[f"bridge/{eid}/W"] = (config.dec_hidden, config.enc_hidden)
         shapes[f"bridge/{eid}/b"] = (config.dec_hidden,)
         for direction in ("fwd", "bwd"):
-            for k, shape in _cell_shapes(config.embed_dim, half).items():
-                shapes[f"encoder/{eid}/{direction}/{k}"] = shape
-    for dim in grouping:
-        for k, shape in _cell_shapes(config.embed_dim, config.dec_hidden).items():
-            shapes[f"decoder/{dim.value}/{k}"] = shape
+            cell(f"encoder/{eid}/{direction}", config.enc_hidden // 2)
+    for dim in sorted(grouping, key=lambda d: d.value):
+        cell(f"decoder/{dim.value}", config.dec_hidden)
         shapes[f"decoder/{dim.value}/W_o"] = (vocab_size, config.dec_hidden)
         shapes[f"decoder/{dim.value}/b_o"] = (vocab_size,)
     return shapes
@@ -170,15 +155,10 @@ def init_params(
     Known tokens may be seeded from a static embedding table; its vectors
     must match ``embed_dim``.
     """
-    if config.variant is ModelVariant.NearestNeighbor:
-        raise ValueError("the retrieval baseline has no trainable parameters")
     rng = np.random.default_rng(config.seed if seed is None else seed)
-    grouping = encoder_grouping(config.variant)
-    shapes = _param_shapes(config, len(vocab), grouping)
-    order = _canonical_param_order(grouping)
+    shapes = _param_shapes(config, len(vocab))
     arrays = {}
-    for name in order:
-        shape = shapes[name]
+    for name, shape in shapes.items():
         if name.endswith(("/b", "/bz", "/br", "/bn", "/b_o")):
             arrays[name] = np.zeros(shape)
         else:
@@ -197,7 +177,7 @@ def init_params(
                     f"expected ({config.embed_dim},)"
                 )
             emb[idx] = vec
-    return ModelParams(config, vocab, arrays, order)
+    return ModelParams(config, vocab, arrays, list(shapes))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

@@ -91,10 +91,11 @@ def rewrite_header(path, mutate):
         lambda h: h["config"].update(epochs="2"),
         lambda h: h["config"].update(learning_rate=None),
         lambda h: h["config"].update(variant="no-such-variant"),
+        lambda h: h["config"].update(variant="nearest-neighbor"),
         lambda h: h.update(vocab="not a token list"),
     ],
     ids=["no-config", "no-vocab", "no-tensors", "no-name", "no-shape", "wrong-shape",
-         "str-epochs", "null-rate", "bad-variant", "bad-vocab"],
+         "str-epochs", "null-rate", "bad-variant", "removed-variant", "bad-vocab"],
 )
 def test_malformed_header_rejected(mutate, tmp_path):
     path = tmp_path / "model.ckpt"

@@ -43,6 +43,13 @@ class TestDataCommands:
         assert "wrote 9 triples" in capsys.readouterr().out
         assert len(out.read_text().splitlines()) == 9
 
+    def test_ingest_writes_resolved_config(self, atlas, tmp_path, capsys):
+        out = tmp_path / "out.tsv"
+        assert run(["ingest", "--in", atlas, "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 9
+        resolved = json.loads((tmp_path / "out.tsv.config.json").read_text())
+        assert resolved["input"] == atlas and resolved["out"] == str(out)
+
     def test_stats_report(self, atlas, tmp_path, capsys):
         out = tmp_path / "stats.json"
         assert run(["stats", "--atlas", atlas, "--out", str(out)]) == 0
@@ -149,6 +156,8 @@ class TestEvalCommands:
         assert run(["precision", "--sheet", self.make_sheet(tmp_path),
                     "--out", str(out)]) == 0
         assert json.loads(out.read_text())["status"] == "no judgments"
+        resolved = json.loads((tmp_path / "p.json.config.json").read_text())
+        assert resolved["threshold"] == "majority"
 
     def test_precision_with_votes(self, tmp_path):
         out = tmp_path / "p.json"
@@ -189,15 +198,31 @@ class TestExitCodes:
     def test_missing_file(self, tmp_path, capsys):
         assert run(["stats", "--atlas", str(tmp_path / "nope.tsv")]) == 2
 
-    def test_checkpoint_without_config_is_data_error(self, atlas, tmp_path, capsys):
+    def test_conflicting_duplicate_splits_are_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "conflict.tsv"
+        bad.write_text("PersonX naps\txReact\tcalm\ttrain\tw1\n"
+                       "PersonX naps\txReact\tcalm\ttest\tw2\n")
+        assert run(["stats", "--atlas", str(bad)]) == 2
+        assert "data error: conflicting splits" in capsys.readouterr().err
+
+    def generate_with_header(self, atlas, tmp_path, mutate):
+        """Exit code of ``generate`` on a checkpoint whose header was mutated."""
         ckpt = tmp_path / "model.ckpt"
         assert run(train_args(atlas, str(ckpt))) == 0
         line, rest = ckpt.read_bytes().split(b"\n", 1)
         header = json.loads(line)
-        del header["config"]
+        mutate(header)
         ckpt.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + rest)
-        assert run(["generate", "--ckpt", str(ckpt), "--atlas", atlas,
-                    "--out", str(tmp_path / "g.jsonl")]) == 2
+        return run(["generate", "--ckpt", str(ckpt), "--atlas", atlas,
+                    "--out", str(tmp_path / "g.jsonl")])
+
+    def test_checkpoint_without_config_is_data_error(self, atlas, tmp_path, capsys):
+        assert self.generate_with_header(atlas, tmp_path, lambda h: h.pop("config")) == 2
+        assert "data error" in capsys.readouterr().err
+
+    def test_removed_variant_checkpoint_is_data_error(self, atlas, tmp_path, capsys):
+        assert self.generate_with_header(
+            atlas, tmp_path, lambda h: h["config"].update(variant="nearest-neighbor")) == 2
         assert "data error" in capsys.readouterr().err
 
     def test_nan_gradient_is_numeric_failure(self, atlas, tmp_path, capsys, monkeypatch):

@@ -104,7 +104,7 @@ class TestBeamSearch:
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 10_000),
-        variant=st.sampled_from([v for v in ModelVariant if v is not ModelVariant.NearestNeighbor]),
+        variant=st.sampled_from(list(ModelVariant)),
         vocab_size=st.integers(10, 30),
         width=st.integers(1, 12),
         max_len=st.integers(1, 5),

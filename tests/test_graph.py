@@ -60,6 +60,13 @@ class TestBuildGraph:
         assert len(g.edges) == 1
         assert g.edges[0].worker_ids == ("w1", "w2")
 
+    def test_duplicate_with_conflicting_splits_rejected(self):
+        t1 = make_triple("PersonX bakes bread", "xNeed", "buy flour", worker="w1")
+        t2 = make_triple("PersonX Bakes  bread", "xNeed", "Buy flour", worker="w2",
+                         split=Split.Test)
+        with pytest.raises(ValueError, match=r"personx bakes bread.*train and test"):
+            build_graph([t1, t2])
+
     def test_six_triple_adjacency_hand_enumeration(self):
         triples = [
             make_triple("PersonX bakes bread", "xNeed", "buy flour"),

@@ -6,14 +6,12 @@ from hypothesis import strategies as st
 
 from ifthen.graph import EventPhrase, Split
 from ifthen.ingest import (
-    CorefVoteRecord,
     FrequencySource,
     FrequencyTable,
     IngestError,
     blank_infrequent_args,
     content_key,
     default_stopwords,
-    filter_coref_combinations,
     load_frequency_table,
     normalize_event,
     split_events,
@@ -94,32 +92,6 @@ class TestBlanking:
         )
         assert table.counts[("drinks", "dark roast")] == 2
         assert table.source is FrequencySource.Stories
-
-
-class TestCorefFilter:
-    def records(self, votes):
-        return [
-            CorefVoteRecord(EventPhrase.from_text(f"PersonX does thing {i}"), v)
-            for i, v in enumerate(votes)
-        ]
-
-    def test_unanimous_kept(self):
-        assert len(filter_coref_combinations(self.records([3]))) == 1
-
-    def test_single_vote_dropped(self):
-        assert filter_coref_combinations(self.records([1])) == []
-
-    def test_mixed_counts(self):
-        kept = filter_coref_combinations(self.records([0, 1, 2, 2, 3]))
-        assert len(kept) == 3
-
-    def test_order_preserved(self):
-        kept = filter_coref_combinations(self.records([2, 0, 3]))
-        assert [e.text for e in kept] == ["PersonX does thing 0", "PersonX does thing 2"]
-
-    def test_vote_bounds(self):
-        with pytest.raises(IngestError):
-            CorefVoteRecord(EventPhrase.from_text("PersonX naps"), 4)
 
 
 class TestContentKey:

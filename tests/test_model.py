@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_instance, toy_params, toy_vocab
+from conftest import random_instance, toy_params
 
-from ifthen.seq2seq import ModelConfig, ModelVariant, encoder_grouping, init_params
+from ifthen.seq2seq import ModelConfig, ModelVariant, encoder_grouping
 from ifthen.seq2seq.model import (
     ModelParams,
     TrainingInstance,
@@ -52,10 +52,6 @@ class TestEncoderGrouping:
         assert Dimension.xAttr not in g
         assert len(g) == 8 and len(set(g.values())) == 2
         assert g[Dimension.xNeed] == g[Dimension.xIntent] == "pre"
-
-    def test_nearest_neighbor_has_no_encoders(self):
-        with pytest.raises(ValueError):
-            encoder_grouping(ModelVariant.NearestNeighbor)
 
     def test_volition_consistent_with_taxonomy(self):
         from ifthen.taxonomy import Volition, classify_dimension
@@ -284,7 +280,3 @@ class TestConfig:
     def test_round_trip(self):
         cfg = ModelConfig(variant=ModelVariant.EventPrePost, epochs=3)
         assert ModelConfig.from_dict(cfg.to_dict()) == cfg
-
-    def test_nearest_neighbor_has_no_params(self):
-        with pytest.raises(ValueError):
-            init_params(ModelConfig(variant=ModelVariant.NearestNeighbor), toy_vocab())
