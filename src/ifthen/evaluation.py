@@ -187,11 +187,6 @@ class SheetRow:
 class JudgmentSheet:
     rows: tuple[SheetRow, ...] = field(default=())
 
-    def has_votes(self) -> bool:
-        return all(
-            r.votes_valid is not None and r.judges_total is not None for r in self.rows
-        )
-
 
 def export_human_eval_sheet(
     generations: list[GenerationList],
@@ -251,6 +246,8 @@ def write_sheet(sheet: JudgmentSheet, stream: IO[str]) -> None:
 
 
 def read_sheet(stream: IO[str]) -> JudgmentSheet:
+    """Parse a judgment sheet; a row's vote columns are both blank or both
+    filled, with at least one judge and at most that many valid votes."""
     lines = iter(enumerate(stream, start=1))
     try:
         _, header = next(lines)
@@ -267,14 +264,24 @@ def read_sheet(stream: IO[str]) -> JudgmentSheet:
         if len(cols) != len(SHEET_COLUMNS):
             raise EvalError(f"line {line_no}: expected {len(SHEET_COLUMNS)} columns")
         event, dim, rank, generation, votes, judges = cols
+        if bool(votes) != bool(judges):
+            raise EvalError(f"line {line_no}: fill both vote columns or neither")
+        votes_valid = int(votes) if votes else None
+        judges_total = int(judges) if judges else None
+        if judges_total is not None and not (
+            judges_total >= 1 and 0 <= votes_valid <= judges_total
+        ):
+            raise EvalError(
+                f"line {line_no}: {votes_valid} of {judges_total} judges voted valid"
+            )
         rows.append(
             SheetRow(
                 event=event,
                 dimension=Dimension(dim),
                 rank=int(rank),
                 generation=generation,
-                votes_valid=int(votes) if votes else None,
-                judges_total=int(judges) if judges else None,
+                votes_valid=votes_valid,
+                judges_total=judges_total,
             )
         )
     return JudgmentSheet(rows=tuple(rows))

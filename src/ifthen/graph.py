@@ -167,7 +167,8 @@ def build_graph(triples: list[Triple]) -> AtlasGraph:
     duplicates assigned to different splits raise ``ValueError``, since
     keeping either split would leak the triple across the split boundary.
     Targets for o-dimensions on events without an explicit PersonY are
-    legal (implied participants) and only produce a diagnostic.
+    legal (implied participants) and only produce a diagnostic; one
+    warning per call gives their count and the first of them.
     """
     merged: dict[tuple[str, str, str], dict] = {}
     diagnostics: list[str] = []
@@ -185,7 +186,6 @@ def build_graph(triples: list[Triple]) -> AtlasGraph:
                     f"PersonY (implied participant): {t.event.text!r}"
                 )
                 diagnostics.append(msg)
-                log.warning(msg)
             merged[key] = {
                 "event": t.event,
                 "dimension": t.dimension,
@@ -200,6 +200,9 @@ def build_graph(triples: list[Triple]) -> AtlasGraph:
                     f"{slot['split'].value} and {t.split.value}"
                 )
             slot["workers"].add(t.worker_id)
+    if diagnostics:
+        log.warning("%d implied-participant diagnostics; first: %s",
+                    len(diagnostics), diagnostics[0])
 
     edges = tuple(
         Edge(

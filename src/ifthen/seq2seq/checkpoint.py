@@ -3,9 +3,11 @@
 Layout: one JSON header line (format version, config, vocabulary, tensor
 manifest with shapes, all keys sorted) followed by the raw little-endian
 float64 bytes of every tensor, concatenated in the canonical flattening
-order. Writing the same model twice yields byte-identical files. A write
-goes to a sibling temporary file that replaces the target only once
-complete, so a failed write leaves any previous checkpoint intact.
+order. Format 2 stores each recurrent cell as its stacked ``W``, ``U`` and
+``b`` tensors (z, r, n row blocks); a file in any other format is
+refused. Writing the same model twice yields byte-identical files. A
+write goes to a sibling temporary file that replaces the target only
+once complete, so a failed write leaves any previous checkpoint intact.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from ifthen.seq2seq.config import ModelConfig
 from ifthen.seq2seq.model import ModelParams, _param_shapes
 from ifthen.seq2seq.vocab import VocabularyMap
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class CheckpointError(ValueError):

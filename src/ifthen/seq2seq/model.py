@@ -13,17 +13,17 @@ projected to vocabulary logits through W_o, b_o.
 
 One batched engine, :func:`batch_loss_and_grads`, runs the forward and
 backward pass of a whole minibatch; every other entry point is a call
-into its pieces. Each cell keeps its z/r/n gates stacked, one ``(3H, ·)``
-matrix per weight kind, and the per-gate names in ``arrays`` are row
-views into those stacks, so the names, canonical order and checkpoint
-format are per gate. A batch is grouped by encoder for the encoder pass
-and by dimension for the decoder pass. Each group's sequences are sorted
-longest first, padded with ``<pad>`` into a ``(T, B)`` id matrix and
-masked; the valid positions are packed time-major, so at step t the live
-rows are a prefix of the group. The input projection of all timesteps is
-one GEMM, leaving only ``U h`` in the recurrence, and every weight
-gradient is one GEMM over all valid timesteps (the cuDNN RNN recipe of
-Appleyard et al. 2016, arXiv:1604.01946, on CPU BLAS).
+into its pieces. Each cell is three tensors, ``W (3H, I)``, ``U (3H, H)``
+and ``b (3H,)``, whose row blocks are its z, r and n gates; parameters,
+gradients, optimizer state and checkpoints all use this layout. A batch
+is grouped by encoder for the encoder pass and by dimension for the
+decoder pass. Each group's sequences are sorted longest first, padded
+with ``<pad>`` into a ``(T, B)`` id matrix and masked; the valid
+positions are packed time-major, so at step t the live rows are a
+prefix of the group. The input projection of all timesteps is one GEMM,
+leaving only ``U h`` in the recurrence, and every weight gradient is one
+GEMM over all valid timesteps (the cuDNN RNN recipe of Appleyard et al.
+2016, arXiv:1604.01946, on CPU BLAS).
 """
 
 from __future__ import annotations
@@ -38,9 +38,6 @@ from ifthen.seq2seq.config import ModelConfig
 from ifthen.seq2seq.grouping import encoder_grouping
 from ifthen.seq2seq.vocab import VocabularyMap
 from ifthen.taxonomy import Dimension
-
-CELL_KEYS = ("Wz", "Uz", "bz", "Wr", "Ur", "br", "Wn", "Un", "bn")
-GATES = "zrn"
 
 
 @dataclass(frozen=True)
@@ -64,12 +61,10 @@ class GRUCell(NamedTuple):
 class ModelParams:
     """Parameter container for one model variant.
 
-    ``arrays`` maps structured names (``embedding``, ``encoder/<id>/fwd/Wz``,
+    ``arrays`` maps structured names (``embedding``, ``encoder/<id>/fwd/W``,
     ``bridge/<id>/W``, ``decoder/<dim>/W_o``, ...) to float64 arrays;
     ``param_order`` is the canonical flattening order used by checkpoints,
-    the optimizer, and the gradient checker. The constructor copies each
-    cell's nine arrays into stacked storage, and the per-gate entries of
-    ``arrays`` are views into it, so update them in place.
+    the optimizer, and the gradient checker.
     """
 
     def __init__(
@@ -82,12 +77,8 @@ class ModelParams:
         self.config = config
         self.vocab = vocab
         self.grouping = encoder_grouping(config.variant)
-        self.arrays = dict(arrays)
+        self.arrays = arrays
         self.param_order = param_order
-        self._cells: dict[str, tuple[GRUCell, tuple]] = {}
-        for name in arrays:
-            if name.endswith("/Wz"):
-                self._stack_cell(name[: -len("/Wz")])
 
     @property
     def encoder_ids(self) -> list[str]:
@@ -97,25 +88,8 @@ class ModelParams:
     def decoder_dims(self) -> list[Dimension]:
         return sorted(self.grouping, key=lambda d: d.value)
 
-    def cell(self, prefix: str) -> dict[str, np.ndarray]:
-        return {k: self.arrays[f"{prefix}/{k}"] for k in CELL_KEYS}
-
-    def stacked_cell(self, prefix: str) -> GRUCell:
-        """The cell's stacked gates, restacked if a caller rebound a gate entry."""
-        cell, views = self._cells[prefix]
-        for name, view in views:
-            if self.arrays[name] is not view:
-                return self._stack_cell(prefix)
-        return cell
-
-    def _stack_cell(self, prefix: str) -> GRUCell:
-        names = [f"{prefix}/{kind}{gate}" for kind in "WUb" for gate in GATES]
-        cell = GRUCell(*(np.concatenate([self.arrays[n] for n in names[i : i + 3]])
-                         for i in (0, 3, 6)))
-        views = [part for stacked in cell for part in np.split(stacked, 3)]
-        self.arrays.update(zip(names, views))
-        self._cells[prefix] = (cell, tuple(zip(names, views)))
-        return cell
+    def cell(self, prefix: str) -> GRUCell:
+        return GRUCell(*(self.arrays[f"{prefix}/{kind}"] for kind in "WUb"))
 
     def zero_grads(self) -> dict[str, np.ndarray]:
         return {name: np.zeros(arr.shape) for name, arr in self.arrays.items()}
@@ -127,10 +101,9 @@ def _param_shapes(config: ModelConfig, vocab_size: int) -> dict[str, tuple[int, 
     shapes: dict[str, tuple[int, ...]] = {"embedding": (vocab_size, config.embed_dim)}
 
     def cell(prefix: str, hidden: int) -> None:
-        for gate in GATES:
-            shapes[f"{prefix}/W{gate}"] = (hidden, config.embed_dim)
-            shapes[f"{prefix}/U{gate}"] = (hidden, hidden)
-            shapes[f"{prefix}/b{gate}"] = (hidden,)
+        shapes[f"{prefix}/W"] = (3 * hidden, config.embed_dim)
+        shapes[f"{prefix}/U"] = (3 * hidden, hidden)
+        shapes[f"{prefix}/b"] = (3 * hidden,)
 
     for eid in sorted(set(grouping.values())):
         shapes[f"bridge/{eid}/W"] = (config.dec_hidden, config.enc_hidden)
@@ -159,8 +132,18 @@ def init_params(
     shapes = _param_shapes(config, len(vocab))
     arrays = {}
     for name, shape in shapes.items():
-        if name.endswith(("/b", "/bz", "/br", "/bn", "/b_o")):
+        if name in arrays:  # a cell's U, drawn with its W
+            continue
+        prefix, _, kind = name.rpartition("/")
+        if kind in ("b", "b_o"):
             arrays[name] = np.zeros(shape)
+        elif kind == "W" and f"{prefix}/U" in shapes:
+            # One draw fills a cell's W and U: per gate, in z, r, n order,
+            # its W block and then its U block.
+            hidden, inputs = shape[0] // 3, shape[1]
+            draw = rng.uniform(-0.08, 0.08, size=(3, hidden * (inputs + hidden)))
+            arrays[name] = draw[:, : hidden * inputs].reshape(shape)
+            arrays[f"{prefix}/U"] = draw[:, hidden * inputs :].reshape(3 * hidden, hidden)
         else:
             scale = 0.1 if name == "embedding" else 0.08
             arrays[name] = rng.uniform(-scale, scale, size=shape)
@@ -233,15 +216,6 @@ def gru_step_backward(cell: GRUCell, cache, dh: np.ndarray):
     return dpre, dh_prev
 
 
-def _add_cell_grads(grads, prefix: str, dW, dU, db) -> None:
-    hidden = len(db) // 3
-    for i, gate in enumerate(GATES):
-        rows = slice(i * hidden, (i + 1) * hidden)
-        grads[f"{prefix}/W{gate}"] += dW[rows]
-        grads[f"{prefix}/U{gate}"] += dU[rows]
-        grads[f"{prefix}/b{gate}"] += db[rows]
-
-
 class _Batch:
     """Sequences sorted longest first, padded and masked, packed time-major.
 
@@ -279,7 +253,7 @@ class _Recurrence:
 
     def __init__(self, params: ModelParams, prefix: str, ids, offsets, h0):
         self.prefix = prefix
-        self.cell = params.stacked_cell(prefix)
+        self.cell = params.cell(prefix)
         self.ids = ids
         self.offsets = offsets
         self.x = params.arrays["embedding"][ids]
@@ -309,8 +283,11 @@ class _Recurrence:
         h_prev = np.concatenate([c[0] for c in self.caches])
         rh = np.concatenate([c[2] * c[0] for c in self.caches])
         zr = 2 * h_prev.shape[1]
-        d_u = np.concatenate((dpre[:, :zr].T @ h_prev, dpre[:, zr:].T @ rh))
-        _add_cell_grads(grads, self.prefix, dpre.T @ self.x, d_u, dpre.sum(axis=0))
+        grads[f"{self.prefix}/W"] += dpre.T @ self.x
+        g_u = grads[f"{self.prefix}/U"]
+        g_u[:zr] += dpre[:, :zr].T @ h_prev
+        g_u[zr:] += dpre[:, zr:].T @ rh
+        grads[f"{self.prefix}/b"] += dpre.sum(axis=0)
         np.add.at(grads["embedding"], self.ids, dpre @ self.cell.W)
         return dh_prev
 
@@ -476,7 +453,7 @@ def decode_step(
     ``(B, V)`` and ``(B, H)``: row i is that row's own step.
     """
     prefix = f"decoder/{Dimension(dimension).value}"
-    cell = params.stacked_cell(prefix)
+    cell = params.cell(prefix)
     gx = params.arrays["embedding"][prev_token_id] @ cell.W.T + cell.b
     new_h, _ = gru_step(cell, gx, hidden_state)
     logits = new_h @ params.arrays[f"{prefix}/W_o"].T

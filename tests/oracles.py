@@ -172,9 +172,6 @@ def overlap_oracle(atlas, edges, normalizer, group_dims, group_relations):
     return 100.0 * matched / total if total else 0.0
 
 
-_CELL_KEYS = ("Wz", "Uz", "bz", "Wr", "Ur", "br", "Wn", "Un", "bn")
-
-
 def _ref_sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
@@ -226,7 +223,9 @@ def instance_loss_and_grads_reference(arrays, grads, encoder_id, dimension,
     added to ``grads``. Returns the unweighted loss.
     """
     def cell(store, prefix):
-        return {k: store[f"{prefix}/{k}"] for k in _CELL_KEYS}
+        # Per-gate views of the stacked z, r, n row blocks.
+        return {f"{kind}{gate}": block for kind in "WUb"
+                for gate, block in zip("zrn", np.split(store[f"{prefix}/{kind}"], 3))}
 
     emb, g_emb = arrays["embedding"], grads["embedding"]
     enc = f"encoder/{encoder_id}"

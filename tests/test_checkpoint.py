@@ -93,9 +93,11 @@ def rewrite_header(path, mutate):
         lambda h: h["config"].update(variant="no-such-variant"),
         lambda h: h["config"].update(variant="nearest-neighbor"),
         lambda h: h.update(vocab="not a token list"),
+        lambda h: h.update(format_version=1),
     ],
     ids=["no-config", "no-vocab", "no-tensors", "no-name", "no-shape", "wrong-shape",
-         "str-epochs", "null-rate", "bad-variant", "removed-variant", "bad-vocab"],
+         "str-epochs", "null-rate", "bad-variant", "removed-variant", "bad-vocab",
+         "format-1"],
 )
 def test_malformed_header_rejected(mutate, tmp_path):
     path = tmp_path / "model.ckpt"

@@ -166,6 +166,13 @@ class TestEvalCommands:
         data = json.loads(out.read_text())
         assert data["precision_at_10"]["xWant"] == 100.0
 
+    def test_precision_impossible_votes_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "p.json"
+        assert run(["precision", "--sheet", self.make_sheet(tmp_path, "7\t5"),
+                    "--out", str(out)]) == 2
+        assert "7 of 5 judges" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_export_human_eval_too_few_events(self, atlas, tmp_path, capsys):
         ckpt = tmp_path / "model.ckpt"
         assert run(train_args(atlas, str(ckpt))) == 0
@@ -224,6 +231,11 @@ class TestExitCodes:
         assert self.generate_with_header(
             atlas, tmp_path, lambda h: h["config"].update(variant="nearest-neighbor")) == 2
         assert "data error" in capsys.readouterr().err
+
+    def test_old_format_checkpoint_is_data_error(self, atlas, tmp_path, capsys):
+        assert self.generate_with_header(
+            atlas, tmp_path, lambda h: h.update(format_version=1)) == 2
+        assert "unsupported checkpoint format version 1" in capsys.readouterr().err
 
     def test_nan_gradient_is_numeric_failure(self, atlas, tmp_path, capsys, monkeypatch):
         poison_gradients(monkeypatch)

@@ -12,6 +12,7 @@ from conftest import make_triple
 from oracles import bleu2_oracle
 
 from ifthen.evaluation import (
+    SHEET_COLUMNS,
     EvalError,
     JudgmentSheet,
     SheetRow,
@@ -278,7 +279,6 @@ class TestHumanEvalSheet:
         write_sheet(sheet, buf)
         buf.seek(0)
         assert read_sheet(buf) == sheet
-        assert not sheet.has_votes()
 
     def test_tsv_round_trip_with_votes(self):
         sheet = export_human_eval_sheet(full_gens(), sample_size=100, seed=1)
@@ -292,7 +292,20 @@ class TestHumanEvalSheet:
         write_sheet(voted, buf)
         buf.seek(0)
         assert read_sheet(buf) == voted
-        assert voted.has_votes()
+
+    @pytest.mark.parametrize(
+        "votes,judges",
+        [("3", ""), ("", "5"), ("7", "5"), ("-1", "5"), ("0", "0"), ("1", "-1")],
+        ids=["votes-only", "judges-only", "more-votes-than-judges", "negative-votes",
+             "no-judges", "negative-judges"],
+    )
+    def test_impossible_vote_row_rejected(self, votes, judges):
+        buf = io.StringIO(
+            "\t".join(SHEET_COLUMNS) + "\n"
+            + f"PersonX runs\txWant\t1\tgo home\t{votes}\t{judges}\n"
+        )
+        with pytest.raises(EvalError, match="line 2"):
+            read_sheet(buf)
 
 
 class TestPrecisionAt10:

@@ -92,6 +92,21 @@ class TestBuildGraph:
         assert len(g.edges) == 1
         assert any("implied participant" in d for d in g.diagnostics)
 
+    def test_implied_participants_logged_once_with_count(self, caplog):
+        triples = [
+            make_triple("PersonX calls for help", "oWant", "answer the call"),
+            make_triple("PersonX calls for help", "oReact", "worried"),
+            make_triple("PersonX sings", "oEffect", "claps"),
+            make_triple("PersonX hugs PersonY", "oReact", "happy"),
+        ]
+        with caplog.at_level("WARNING", logger="ifthen.graph"):
+            g = build_graph(triples)
+        assert len(g.diagnostics) == 3
+        assert len(caplog.records) == 1
+        message = caplog.records[0].getMessage()
+        assert message.startswith("3 ")
+        assert "'PersonX calls for help'" in message
+
     def test_deterministic_order(self):
         triples = [
             make_triple("PersonX naps", "xReact", "calm"),

@@ -81,12 +81,12 @@ class TestTopology:
         assert len(params.encoder_ids) == encoders
         assert len(params.decoder_dims) == decoders
         enc_arrays = {n for n in params.arrays if n.startswith("encoder/")}
-        assert len(enc_arrays) == encoders * 2 * 9
+        assert len(enc_arrays) == encoders * 2 * 3
 
     def test_shared_encoder_is_same_object(self):
         params = toy_params(ModelVariant.EventInvolEvent)
-        a = params.cell("encoder/voluntary/fwd")["Wz"]
-        b = params.cell("encoder/voluntary/fwd")["Wz"]
+        a = params.cell("encoder/voluntary/fwd").W
+        b = params.cell("encoder/voluntary/fwd").W
         assert a is b
         # The same arrays serve every dimension in the group.
         assert params.grouping[Dimension.xIntent] == params.grouping[Dimension.xWant]
@@ -113,7 +113,7 @@ class TestEncode:
     def test_reversal_swaps_halves_with_tied_cells(self):
         params = toy_params(seed=3)
         eid = params.encoder_ids[0]
-        for key in ("Wz", "Uz", "bz", "Wr", "Ur", "br", "Wn", "Un", "bn"):
+        for key in ("W", "U", "b"):
             params.arrays[f"encoder/{eid}/bwd/{key}"][:] = params.arrays[
                 f"encoder/{eid}/fwd/{key}"
             ]
@@ -155,10 +155,10 @@ class TestDecodeStep:
         def sig(v):
             return 1.0 / (1.0 + math.exp(-v))
 
-        c = {k: params.arrays[f"decoder/{dim.value}/{k}"] for k in
-             ("Wz", "Uz", "bz", "Wr", "Ur", "br", "Wn", "Un", "bn")}
-        x = params.arrays["embedding"][prev]
         H = len(state)
+        c = {f"{kind}{gate}": params.arrays[f"decoder/{dim.value}/{kind}"][i * H : (i + 1) * H]
+             for kind in "WUb" for i, gate in enumerate("zrn")}
+        x = params.arrays["embedding"][prev]
         z = [sig(sum(c["Wz"][i][j] * x[j] for j in range(H))
                  + sum(c["Uz"][i][j] * state[j] for j in range(H)) + c["bz"][i])
              for i in range(H)]
@@ -181,11 +181,10 @@ class TestDecodeStep:
         np.testing.assert_allclose(probs, [e / total for e in exps], atol=1e-12)
 
     def test_rebound_gate_entry_is_used(self):
-        # Gate entries are views into stacked storage; rebinding one to a
-        # new array must still take effect.
+        # Rebinding a cell's entry to a new array must take effect.
         params = toy_params(seed=12)
         dim = params.decoder_dims[0]
-        name = f"decoder/{dim.value}/Wn"
+        name = f"decoder/{dim.value}/W"
         state = np.zeros(params.config.dec_hidden)
         before, _ = decode_step(params, dim, state, 9)
         params.arrays[name] = params.arrays[name] * 2.0
