@@ -304,9 +304,12 @@ def _cmd_query(args) -> int:
 
 def _cmd_split(args) -> int:
     graph = build_graph(parse_atlas_file(args.atlas))
-    ratios = tuple(float(r) for r in args.ratios.split(","))
+    try:
+        ratios = tuple(float(r) for r in args.ratios.split(","))
+    except ValueError:
+        ratios = ()
     if len(ratios) != 3:
-        raise UsageError(f"--ratios needs three values, got {args.ratios!r}")
+        raise UsageError(f"--ratios needs three numbers, got {args.ratios!r}")
     if args.stopwords:
         with open(args.stopwords, encoding="utf-8") as fh:
             stopwords = load_stopwords(fh)
@@ -373,6 +376,8 @@ def _dims(names: str | None, available: list[Dimension]) -> list[Dimension]:
 def _cmd_generate(args) -> int:
     if args.beam_width < 1:
         raise UsageError("--beam-width must be at least 1")
+    if args.max_len is not None and args.max_len < 1:
+        raise UsageError("--max-len must be at least 1")
     triples = parse_atlas_file(args.atlas)
     if args.event is not None:
         events = [args.event]
@@ -414,6 +419,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_eval_bleu(args) -> int:
+    if args.k < 1:
+        raise UsageError("--k must be at least 1")
     with open(args.gen, encoding="utf-8") as fh:
         gens = generation.read_generations(fh)
     gold = build_graph(parse_atlas_file(args.atlas))
@@ -425,6 +432,8 @@ def _cmd_eval_bleu(args) -> int:
 
 
 def _cmd_export_human_eval(args) -> int:
+    if args.sample_size < 1:
+        raise UsageError("--sample-size must be at least 1")
     with open(args.gen, encoding="utf-8") as fh:
         gens = generation.read_generations(fh)
     sheet = evaluation.export_human_eval_sheet(
@@ -466,16 +475,21 @@ def _cmd_gradcheck(args) -> int:
 
     from ifthen.seq2seq.vocab import RESERVED_TOKENS, VocabularyMap
 
+    if not args.epsilon > 0:
+        raise UsageError("--epsilon must be positive")
     extra = [f"w{i}" for i in range(max(args.vocab_size - len(RESERVED_TOKENS), 0))]
     vocab = VocabularyMap.from_tokens(list(RESERVED_TOKENS) + extra)
     hidden = args.hidden + (args.hidden % 2)
-    config = ModelConfig(
-        variant=ModelVariant(args.variant),
-        embed_dim=hidden,
-        enc_hidden=hidden,
-        dec_hidden=hidden,
-        seed=args.seed,
-    )
+    try:
+        config = ModelConfig(
+            variant=ModelVariant(args.variant),
+            embed_dim=hidden,
+            enc_hidden=hidden,
+            dec_hidden=hidden,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     params = init_params(config, vocab)
     rng = np.random.default_rng(args.seed)
     dims = params.decoder_dims

@@ -266,8 +266,12 @@ def read_sheet(stream: IO[str]) -> JudgmentSheet:
         event, dim, rank, generation, votes, judges = cols
         if bool(votes) != bool(judges):
             raise EvalError(f"line {line_no}: fill both vote columns or neither")
-        votes_valid = int(votes) if votes else None
-        judges_total = int(judges) if judges else None
+        try:
+            votes_valid = int(votes) if votes else None
+            judges_total = int(judges) if judges else None
+            rank, dimension = int(rank), Dimension(dim)
+        except ValueError as exc:
+            raise EvalError(f"line {line_no}: {exc}") from None
         if judges_total is not None and not (
             judges_total >= 1 and 0 <= votes_valid <= judges_total
         ):
@@ -277,8 +281,8 @@ def read_sheet(stream: IO[str]) -> JudgmentSheet:
         rows.append(
             SheetRow(
                 event=event,
-                dimension=Dimension(dim),
-                rank=int(rank),
+                dimension=dimension,
+                rank=rank,
                 generation=generation,
                 votes_valid=votes_valid,
                 judges_total=judges_total,

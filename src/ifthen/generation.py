@@ -69,6 +69,8 @@ def beam_search(
     dimension = Dimension(dimension)
     if max_len is None:
         max_len = params.config.max_decode_len
+    if max_len < 1:
+        raise ValueError("max_len must be >= 1")
     tokens = event.split() if isinstance(event, str) else list(event)
     event_ids = params.vocab.encode(tokens)
     eos = params.vocab.eos_id

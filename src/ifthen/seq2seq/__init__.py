@@ -8,11 +8,11 @@ from ifthen.seq2seq.grouping import encoder_grouping
 from ifthen.seq2seq.model import (
     ModelParams,
     TrainingInstance,
+    batch_losses,
     decode_step,
     encode,
     init_params,
     initial_decoder_state,
-    loss_and_grads,
     make_training_instances,
     sequence_loss,
 )
@@ -35,6 +35,7 @@ __all__ = [
     "NumericError",
     "AdamOptimizer",
     "batch_loss_and_grads",
+    "batch_losses",
     "build_vocab",
     "clip_gradients",
     "decode_step",
@@ -45,7 +46,6 @@ __all__ = [
     "initial_decoder_state",
     "load_checkpoint",
     "load_embedding_file",
-    "loss_and_grads",
     "make_training_instances",
     "save_checkpoint",
     "sequence_loss",

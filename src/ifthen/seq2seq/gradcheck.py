@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ifthen.seq2seq.model import ModelParams, TrainingInstance, loss_and_grads, sequence_loss
+from ifthen.seq2seq.model import ModelParams, TrainingInstance, batch_loss_and_grads, sequence_loss
 
 
 def gradient_check(
@@ -19,10 +19,12 @@ def gradient_check(
     Samples at least ``num_samples`` parameter coordinates spread over the
     embedding, the instance's encoder, its decoder cell, and the output
     projection, and compares backprop against central differences of
-    :func:`sequence_loss` in double precision.
+    :func:`sequence_loss` in double precision. ``epsilon`` must be positive.
     """
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
     grads = params.zero_grads()
-    loss_and_grads(params, instance, grads)
+    batch_loss_and_grads(params, [instance], grads)
 
     eid = params.grouping[instance.dimension]
     dim = instance.dimension.value

@@ -11,9 +11,10 @@ h_enc/2, final states concatenated); an affine bridge per encoder group
 initializes the per-dimension unidirectional decoder, whose state is
 projected to vocabulary logits through W_o, b_o.
 
-One batched engine, :func:`batch_loss_and_grads`, runs the forward and
-backward pass of a whole minibatch; every other entry point is a call
-into its pieces. Each cell is three tensors, ``W (3H, I)``, ``U (3H, H)``
+One batched engine runs a whole minibatch: :func:`batch_losses` is its
+forward pass and :func:`batch_loss_and_grads` adds the backward pass;
+both share one forward step, and every other entry point is a call into
+their pieces. Each cell is three tensors, ``W (3H, I)``, ``U (3H, H)``
 and ``b (3H,)``, whose row blocks are its z, r and n gates; parameters,
 gradients, optimizer state and checkpoints all use this layout. A batch
 is grouped by encoder for the encoder pass and by dimension for the
@@ -42,12 +43,11 @@ from ifthen.taxonomy import Dimension
 
 @dataclass(frozen=True)
 class TrainingInstance:
-    """One worker's annotation as an (event ids, dimension, target ids) pair."""
+    """One worker's annotation as an (event ids, dimension, target ids) triple."""
 
     event_ids: tuple[int, ...]
     dimension: Dimension
     target_ids: tuple[int, ...]
-    worker_id: str = ""
 
 
 class GRUCell(NamedTuple):
@@ -362,20 +362,12 @@ def _bridge(params: ModelParams, encoder_id: str):
     return params.arrays[f"bridge/{encoder_id}/W"], params.arrays[f"bridge/{encoder_id}/b"]
 
 
-def batch_loss_and_grads(
-    params: ModelParams,
-    batch: list[TrainingInstance],
-    grads: dict[str, np.ndarray],
-    instance_losses: list[tuple[str, float]] | None = None,
-) -> float:
-    """Multitask objective for one batch, forward and backward.
+def _encode_batch(params: ModelParams, batch: list[TrainingInstance]):
+    """The forward step shared by scoring and training.
 
-    The loss is the mean over dimensions present in the batch of the mean
-    instance loss for that dimension; gradients are weighted accordingly
-    and accumulated into ``grads``, so a batch containing only one
-    dimension touches only that dimension's decoder and its shared
-    encoder. Per-instance losses are appended to ``instance_losses``,
-    grouped by dimension in order of first appearance.
+    Groups the batch by dimension and by encoder and runs each encoder and
+    its bridge. Returns the rows of each dimension, each encoder with its
+    rows, and every row's initial decoder state.
     """
     by_dim: dict[Dimension, list[int]] = {}
     by_encoder: dict[str, list[int]] = {}
@@ -387,10 +379,37 @@ def batch_loss_and_grads(
     s0 = np.empty((len(batch), params.config.dec_hidden))
     encoders = {}
     for eid, rows in by_encoder.items():
-        encoders[eid] = enc = _Encoder(params, eid, [batch[k].event_ids for k in rows])
+        enc = _Encoder(params, eid, [batch[k].event_ids for k in rows])
+        encoders[eid] = rows, enc
         w_b, b_b = _bridge(params, eid)
         s0[rows] = enc.h @ w_b.T + b_b
+    return by_dim, encoders, s0
 
+
+def batch_losses(params: ModelParams, batch: list[TrainingInstance]) -> np.ndarray:
+    """Each instance's mean token cross entropy, in batch order, forward only."""
+    by_dim, _, s0 = _encode_batch(params, batch)
+    losses = np.empty(len(batch))
+    for dim, rows in by_dim.items():
+        targets = [batch[k].target_ids for k in rows]
+        losses[rows] = _Decoder(params, dim, targets, s0[rows]).losses
+    return losses
+
+
+def batch_loss_and_grads(
+    params: ModelParams,
+    batch: list[TrainingInstance],
+    grads: dict[str, np.ndarray],
+) -> np.ndarray:
+    """Forward and backward pass of the multitask objective for one batch.
+
+    The objective is the mean over dimensions present in the batch of the
+    mean instance loss for that dimension; its gradient is accumulated
+    into ``grads``, so a batch containing only one dimension touches only
+    that dimension's decoder and its shared encoder. Returns each
+    instance's loss in batch order, equal to :func:`batch_losses`.
+    """
+    by_dim, encoders, s0 = _encode_batch(params, batch)
     losses = np.empty(len(batch))
     ds0 = np.empty_like(s0)
     for dim, rows in by_dim.items():
@@ -398,32 +417,13 @@ def batch_loss_and_grads(
         losses[rows] = dec.losses
         ds0[rows] = dec.backward(grads, 1.0 / (len(by_dim) * len(rows)))
 
-    for eid, rows in by_encoder.items():
-        enc, ds = encoders[eid], ds0[rows]
+    for eid, (rows, enc) in encoders.items():
+        ds = ds0[rows]
         w_b, _ = _bridge(params, eid)
         grads[f"bridge/{eid}/W"] += ds.T @ enc.h
         grads[f"bridge/{eid}/b"] += ds.sum(axis=0)
         enc.backward(ds @ w_b, grads)
-
-    total = 0.0
-    for dim, rows in by_dim.items():
-        dim_losses = [float(losses[k]) for k in rows]
-        if instance_losses is not None:
-            instance_losses.extend((dim.value, v) for v in dim_losses)
-        total += sum(dim_losses) / len(rows)
-    return total / len(by_dim)
-
-
-def loss_and_grads(
-    params: ModelParams,
-    instance: TrainingInstance,
-    grads: dict[str, np.ndarray],
-) -> float:
-    """Forward + backward for one instance: a one-instance batch.
-
-    Accumulates the gradient into ``grads`` and returns the loss.
-    """
-    return batch_loss_and_grads(params, [instance], grads)
+    return losses
 
 
 def encode(params: ModelParams, encoder_id: str, event_ids) -> np.ndarray:
@@ -463,25 +463,16 @@ def decode_step(
 
 def sequence_loss(params: ModelParams, instance: TrainingInstance) -> float:
     """Teacher-forced cross entropy, averaged over target positions."""
-    dim, _ = _encoder_of(params, instance.dimension)
-    s0 = initial_decoder_state(params, dim, instance.event_ids)
-    return float(_Decoder(params, dim, [instance.target_ids], s0[None]).losses[0])
+    return float(batch_losses(params, [instance])[0])
 
 
 def make_training_instances(
     triples: list[Triple], vocab: VocabularyMap
 ) -> list[TrainingInstance]:
     """One instance per worker annotation; empty targets carry no sequence."""
-    instances = []
-    for t in triples:
-        if t.target.is_empty:
-            continue
-        instances.append(
-            TrainingInstance(
-                event_ids=tuple(vocab.encode(t.event.tokens)),
-                dimension=t.dimension,
-                target_ids=tuple(vocab.encode(t.target.tokens)),
-                worker_id=t.worker_id,
-            )
-        )
-    return instances
+    return [
+        TrainingInstance(tuple(vocab.encode(t.event.tokens)), t.dimension,
+                         tuple(vocab.encode(t.target.tokens)))
+        for t in triples
+        if not t.target.is_empty
+    ]

@@ -8,6 +8,7 @@ import math
 import numpy as np
 
 from ifthen.seq2seq.model import ModelParams, TrainingInstance, batch_loss_and_grads
+from ifthen.taxonomy import Dimension
 
 log = logging.getLogger(__name__)
 
@@ -80,9 +81,13 @@ def train(
 ) -> tuple[ModelParams, list[float]]:
     """Train in place; returns the params and the per-epoch loss trace.
 
-    Deterministic given the config seed. Aborts with :class:`NumericError`
-    on a non-finite loss or gradient norm. When ``early_stop_loss`` is set,
-    training stops as soon as an epoch's mean loss falls below it.
+    An epoch's loss is the multitask mean over the whole dataset: the mean
+    over dimensions of the mean instance loss, folded from the instance
+    losses of every batch, so it does not depend on how the epoch was
+    batched. Deterministic given the config seed. Aborts with
+    :class:`NumericError` on a non-finite instance loss or gradient norm.
+    When ``early_stop_loss`` is set, training stops as soon as an epoch's
+    loss falls below it.
     """
     if config is None:
         config = params.config
@@ -94,16 +99,17 @@ def train(
     trace: list[float] = []
     for epoch in range(config.epochs):
         perm = rng.permutation(len(dataset))
-        instance_losses: list[tuple[str, float]] = []
+        dim_totals: dict[Dimension, tuple[float, int]] = {}
         for start in range(0, len(dataset), config.batch_size):
             batch = [dataset[i] for i in perm[start : start + config.batch_size]]
             for g in grads.values():
                 g.fill(0.0)
-            loss = batch_loss_and_grads(params, batch, grads, instance_losses)
-            if not math.isfinite(loss):
-                raise NumericError(
-                    f"non-finite loss {loss} at epoch {epoch}, batch start {start}"
-                )
+            losses = batch_loss_and_grads(params, batch, grads)
+            if not np.isfinite(losses).all():
+                raise NumericError(f"non-finite loss at epoch {epoch}, batch start {start}")
+            for inst, loss in zip(batch, losses.tolist()):
+                total, count = dim_totals.get(inst.dimension, (0.0, 0))
+                dim_totals[inst.dimension] = (total + loss, count + 1)
             norm = clip_gradients(grads, config.clip_norm)
             if not math.isfinite(norm):
                 raise NumericError(
@@ -111,12 +117,6 @@ def train(
                 )
             if config.learning_rate != 0.0:
                 optimizer.step(params, grads)
-        # Dataset-level multitask loss: mean over dimensions of the mean
-        # instance loss, invariant to how the epoch was batched.
-        dim_totals: dict[str, tuple[float, int]] = {}
-        for dim, inst_loss in instance_losses:
-            total, count = dim_totals.get(dim, (0.0, 0))
-            dim_totals[dim] = (total + inst_loss, count + 1)
         epoch_mean = sum(t / c for t, c in dim_totals.values()) / len(dim_totals)
         trace.append(epoch_mean)
         log.debug("epoch %d: mean loss %.6f", epoch, epoch_mean)

@@ -76,9 +76,9 @@ def poison_gradients(monkeypatch):
     train_module = importlib.import_module("ifthen.seq2seq.train")
     real = train_module.batch_loss_and_grads
 
-    def poisoned(params, batch, grads, instance_losses=None):
-        loss = real(params, batch, grads, instance_losses)
+    def poisoned(params, batch, grads):
+        losses = real(params, batch, grads)
         grads["embedding"][0, 0] = np.nan
-        return loss
+        return losses
 
     monkeypatch.setattr(train_module, "batch_loss_and_grads", poisoned)

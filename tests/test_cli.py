@@ -173,6 +173,14 @@ class TestEvalCommands:
         assert "7 of 5 judges" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_precision_non_integer_votes_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "p.json"
+        assert run(["precision", "--sheet", self.make_sheet(tmp_path, "five\t5"),
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "data error: line 2" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_export_human_eval_too_few_events(self, atlas, tmp_path, capsys):
         ckpt = tmp_path / "model.ckpt"
         assert run(train_args(atlas, str(ckpt))) == 0
@@ -309,6 +317,32 @@ class TestExitCodes:
     def test_bad_ratios(self, atlas, tmp_path, capsys):
         assert run(["split", "--atlas", atlas, "--ratios", "0.5,0.5",
                     "--out", str(tmp_path / "s.json")]) == 1
+
+    # Bad flag values exit 1 before any input is read: {tmp} holds only the
+    # atlas, so a command that read further would fail as a data error (2).
+    @pytest.mark.parametrize("argv,expected", [
+        (["gradcheck", "--epsilon", "0"], 1),
+        (["gradcheck", "--epsilon=-1e-4"], 1),
+        (["gradcheck", "--hidden", "0"], 1),
+        (["generate", "--ckpt", "{tmp}/m.ckpt", "--atlas", "{atlas}", "--max-len", "0",
+          "--out", "{tmp}/g.jsonl"], 1),
+        (["generate", "--ckpt", "{tmp}/m.ckpt", "--atlas", "{atlas}", "--max-len", "-3",
+          "--out", "{tmp}/g.jsonl"], 1),
+        (["split", "--atlas", "{atlas}", "--ratios", "a,b,c", "--out", "{tmp}/s.json"], 1),
+        (["export-human-eval", "--gen", "{tmp}/g.jsonl", "--sample-size", "-1",
+          "--out", "{tmp}/sheet.tsv"], 1),
+        (["eval-bleu", "--gen", "{tmp}/g.jsonl", "--atlas", "{atlas}", "--k", "0"], 1),
+        (["generate", "--ckpt", "{tmp}/m.ckpt", "--atlas", "{atlas}", "--max-len", "1",
+          "--out", "{tmp}/g.jsonl"], 2),
+    ], ids=["gradcheck-epsilon-0", "gradcheck-epsilon-negative", "gradcheck-hidden-0",
+            "generate-max-len-0", "generate-max-len-negative", "split-ratios-not-numbers",
+            "export-sample-size-negative", "eval-bleu-k-0", "generate-missing-ckpt"])
+    def test_bad_flag_value_exit_code(self, atlas, tmp_path, capsys, argv, expected):
+        assert run([a.format(atlas=atlas, tmp=tmp_path) for a in argv]) == expected
+        err = capsys.readouterr().err
+        assert err.startswith("usage error" if expected == 1 else "data error")
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["atlas.tsv"]
 
 
 class TestConfigLayering:

@@ -307,6 +307,19 @@ class TestHumanEvalSheet:
         with pytest.raises(EvalError, match="line 2"):
             read_sheet(buf)
 
+    @pytest.mark.parametrize(
+        "row",
+        ["PersonX runs\txWant\tfirst\tgo home\t\t",
+         "PersonX runs\txWant\t1\tgo home\tfive\t5",
+         "PersonX runs\txWant\t1\tgo home\t3\tfive",
+         "PersonX runs\txFoo\t1\tgo home\t\t"],
+        ids=["rank", "votes-valid", "judges-total", "dimension"],
+    )
+    def test_unparsable_field_names_line(self, row):
+        buf = io.StringIO("\t".join(SHEET_COLUMNS) + "\n\n" + row + "\n")
+        with pytest.raises(EvalError, match="line 3"):
+            read_sheet(buf)
+
 
 class TestPrecisionAt10:
     def sheet(self, votes):

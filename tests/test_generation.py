@@ -146,6 +146,12 @@ class TestBeamSearch:
         with pytest.raises(ValueError):
             beam_search(params, "w0", params.decoder_dims[0], beam_width=0)
 
+    @pytest.mark.parametrize("max_len", [0, -2])
+    def test_invalid_max_len(self, max_len):
+        params = toy_params()
+        with pytest.raises(ValueError, match="max_len"):
+            beam_search(params, "w0", params.decoder_dims[0], max_len=max_len)
+
 
 class TestGenerationList:
     def test_rejects_unsorted_scores(self):

@@ -4,7 +4,7 @@ import pytest
 from conftest import random_instance, toy_params
 
 from ifthen.seq2seq import ModelVariant, gradient_check
-from ifthen.seq2seq.model import TrainingInstance, loss_and_grads
+from ifthen.seq2seq.model import TrainingInstance, batch_loss_and_grads, sequence_loss
 
 
 @pytest.mark.parametrize(
@@ -29,8 +29,7 @@ def test_output_projection_near_exact():
     params = toy_params(seed=2, hidden=8, vocab_size=16)
     inst = TrainingInstance((8, 9), params.decoder_dims[0], (10,))
     grads = params.zero_grads()
-    loss_and_grads(params, inst, grads)
-    from ifthen.seq2seq.model import sequence_loss
+    batch_loss_and_grads(params, [inst], grads)
 
     name = f"decoder/{inst.dimension.value}/b_o"
     rng = np.random.default_rng(0)
@@ -47,6 +46,14 @@ def test_output_projection_near_exact():
         numeric = (up - down) / (2 * eps)
         analytic = grads[name].reshape(-1)[idx]
         assert abs(numeric - analytic) < 1e-6
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1e-4, float("nan")])
+def test_non_positive_epsilon_rejected(epsilon):
+    params = toy_params(seed=4)
+    inst = random_instance(params, np.random.default_rng(5))
+    with pytest.raises(ValueError, match="epsilon"):
+        gradient_check(params, inst, epsilon=epsilon)
 
 
 def test_coarse_epsilon_degrades_accuracy():

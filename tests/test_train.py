@@ -15,6 +15,7 @@ from ifthen.seq2seq import (
     ModelVariant,
     NumericError,
     batch_loss_and_grads,
+    batch_losses,
     clip_gradients,
     init_params,
     train,
@@ -22,6 +23,14 @@ from ifthen.seq2seq import (
 from ifthen.seq2seq.model import TrainingInstance, sequence_loss
 from ifthen.seq2seq.vocab import RESERVED_TOKENS, VocabularyMap
 from ifthen.taxonomy import Dimension
+
+
+def multitask_mean(batch, losses):
+    """Mean over dimensions of the mean instance loss."""
+    by_dim = {}
+    for inst, loss in zip(batch, losses):
+        by_dim.setdefault(inst.dimension, []).append(loss)
+    return sum(sum(v) / len(v) for v in by_dim.values()) / len(by_dim)
 
 
 def small_config(**kw):
@@ -54,12 +63,10 @@ class TestBatchObjective:
         params = toy_params(seed=1)
         rng = np.random.default_rng(0)
         batch = [random_instance(params, rng) for _ in range(7)]
-        loss = batch_loss_and_grads(params, batch, params.zero_grads())
-        by_dim = {}
-        for inst in batch:
-            by_dim.setdefault(inst.dimension, []).append(sequence_loss(params, inst))
-        expected = sum(sum(v) / len(v) for v in by_dim.values()) / len(by_dim)
-        assert abs(loss - expected) < 1e-12
+        losses = batch_loss_and_grads(params, batch, params.zero_grads())
+        singles = [sequence_loss(params, inst) for inst in batch]
+        np.testing.assert_allclose(losses, singles, rtol=0, atol=1e-12)
+        assert abs(multitask_mean(batch, losses) - multitask_mean(batch, singles)) < 1e-12
 
     def test_single_dimension_batch_gradient_locality(self):
         params = toy_params(ModelVariant.EventInvolEvent, seed=2)
@@ -100,6 +107,8 @@ class TestBatchedEngine:
     @settings(max_examples=15, deadline=None)
     @given(data=st.data())
     def test_matches_per_token_reference(self, variant, data):
+        # The forward-only losses equal the training engine's bit for bit;
+        # their multitask mean and the gradients equal the reference's.
         # Mixed dimensions and lengths; any id, <pad> included, may occur.
         params = toy_params(variant, seed=data.draw(st.integers(0, 1000)))
         ids = st.lists(st.integers(0, len(params.vocab) - 1), min_size=1, max_size=8)
@@ -109,7 +118,8 @@ class TestBatchedEngine:
             for _ in range(data.draw(st.integers(1, 12)))
         ]
         grads = params.zero_grads()
-        loss = batch_loss_and_grads(params, batch, grads)
+        losses = batch_loss_and_grads(params, batch, grads)
+        np.testing.assert_array_equal(batch_losses(params, batch), losses)
         ref_loss, ref_grads = batch_loss_and_grads_reference(
             params.arrays,
             {d.value: eid for d, eid in params.grouping.items()},
@@ -117,7 +127,7 @@ class TestBatchedEngine:
             params.vocab.bos_id,
             params.vocab.eos_id,
         )
-        assert abs(loss - ref_loss) <= 1e-12
+        assert abs(multitask_mean(batch, losses) - ref_loss) <= 1e-12
         for name, ref in ref_grads.items():
             np.testing.assert_allclose(grads[name], ref, rtol=0, atol=1e-12, err_msg=name)
 
@@ -170,6 +180,20 @@ class TestTrain:
         assert all(abs(v - trace[0]) < 1e-12 for v in trace)
         for name, arr in params.arrays.items():
             np.testing.assert_array_equal(arr, before[name])
+
+    def test_epoch_loss_independent_of_batching(self):
+        # With a frozen model, one-instance batches and one whole-dataset
+        # batch must report the same multitask mean for every epoch.
+        params = toy_params(ModelVariant.EventInvolEvent, seed=3)
+        dataset = self.make_dataset(params, 11)
+        assert len({inst.dimension for inst in dataset}) > 1
+        traces = []
+        for batch_size in (1, len(dataset)):
+            cfg = dataclasses.replace(params.config, epochs=3, learning_rate=0.0,
+                                      batch_size=batch_size)
+            traces.append(train(params, dataset, cfg)[1])
+        np.testing.assert_allclose(traces[0], traces[1], rtol=0, atol=1e-12)
+        assert abs(traces[1][0] - multitask_mean(dataset, batch_losses(params, dataset))) < 1e-12
 
     def test_seed_determinism_bit_identical(self):
         cfg = small_config(epochs=3, seed=7, batch_size=4)
