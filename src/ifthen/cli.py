@@ -19,6 +19,7 @@ from ifthen.graph import Split, Triple, build_graph, graph_stats, query_inferenc
 from ifthen.ingest import (
     IngestError,
     blank_infrequent_args,
+    check_ratios,
     default_stopwords,
     load_frequency_table,
     load_name_lexicon,
@@ -242,6 +243,11 @@ def _write_json(data, out_path: str | None) -> None:
 
 
 def _cmd_ingest(args) -> int:
+    if args.blank_threshold is not None:
+        if not args.freq_table:
+            raise UsageError("--blank-threshold needs --freq-table")
+        if args.blank_threshold < 1:
+            raise UsageError("--blank-threshold must be at least 1")
     triples = parse_atlas_file(args.input)
     if args.name_lexicon:
         with open(args.name_lexicon, encoding="utf-8") as fh:
@@ -303,13 +309,13 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_split(args) -> int:
-    graph = build_graph(parse_atlas_file(args.atlas))
     try:
         ratios = tuple(float(r) for r in args.ratios.split(","))
-    except ValueError:
-        ratios = ()
-    if len(ratios) != 3:
-        raise UsageError(f"--ratios needs three numbers, got {args.ratios!r}")
+        check_ratios(ratios)
+    except ValueError:  # includes IngestError
+        raise UsageError(f"--ratios needs three non-negative numbers that sum to 1, "
+                         f"got {args.ratios!r}") from None
+    graph = build_graph(parse_atlas_file(args.atlas))
     if args.stopwords:
         with open(args.stopwords, encoding="utf-8") as fh:
             stopwords = load_stopwords(fh)

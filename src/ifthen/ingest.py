@@ -9,9 +9,11 @@ that keeps events sharing their first two content words in the same set.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
+from types import MappingProxyType
 from typing import IO
 
 from ifthen.graph import (
@@ -41,24 +43,50 @@ NGRAMS_TOP_RANK = 10_000
 
 @dataclass(frozen=True)
 class FrequencyTable:
-    """(verb, argument-string) co-occurrence counts from one corpus."""
+    """(verb, argument-string) co-occurrence counts from one corpus.
 
-    counts: dict[tuple[str, str], int]
+    Construction derives, once, what blanking reads: per verb, an
+    ``{argument tokens: count}`` index and its span lengths, longest
+    first; and the default threshold. ``counts`` is therefore stored as a
+    read-only view of a private copy, so it cannot drift from them.
+    Argument strings that split to the same tokens keep their smallest
+    count; ones with no tokens are left out.
+    """
+
+    counts: Mapping[tuple[str, str], int]
     source: FrequencySource
+    _spans: dict[str, tuple[dict[tuple[str, ...], int], tuple[int, ...]]] = field(
+        init=False, repr=False, compare=False)
+    _default_threshold: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for key, count in self.counts.items():
+        counts = MappingProxyType(dict(self.counts))
+        by_verb: dict[str, dict[tuple[str, ...], int]] = {}
+        for (verb, args), count in counts.items():
             if count < 1:
-                raise IngestError(f"count for {key} must be >= 1, got {count}")
+                raise IngestError(f"count for {(verb, args)} must be >= 1, got {count}")
+            span = tuple(args.split())
+            if span:
+                spans = by_verb.setdefault(verb, {})
+                spans[span] = min(count, spans.get(span, count))
+        index = {
+            verb: (spans, tuple(sorted({len(s) for s in spans}, reverse=True)))
+            for verb, spans in by_verb.items()
+        }
+        if self.source is FrequencySource.Ngrams:
+            ranked = sorted(counts.values(), reverse=True)
+            threshold = ranked[NGRAMS_TOP_RANK - 1] if len(ranked) > NGRAMS_TOP_RANK else 1
+        else:
+            threshold = DEFAULT_MIN_COUNT[self.source]
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "_spans", index)
+        object.__setattr__(self, "_default_threshold", threshold)
 
     def default_threshold(self) -> int:
-        """Per-source cutoff below which arguments are blanked."""
-        if self.source is FrequencySource.Ngrams:
-            ranked = sorted(self.counts.values(), reverse=True)
-            if len(ranked) <= NGRAMS_TOP_RANK:
-                return 1
-            return ranked[NGRAMS_TOP_RANK - 1]
-        return DEFAULT_MIN_COUNT[self.source]
+        """Per-source cutoff below which arguments are blanked: a minimum
+        count for stories and blogs; for n-grams, the count at rank
+        ``NGRAMS_TOP_RANK`` (1 for a table no longer than that)."""
+        return self._default_threshold
 
 
 @dataclass(frozen=True)
@@ -118,13 +146,14 @@ def _split_possessive(token: str) -> tuple[str, str]:
 def normalize_event(raw: str, name_lexicon: set[str]) -> EventPhrase:
     """Replace personal names with PersonX/Y/Z in first-mention order.
 
-    Repeated mentions of the same name map to the same variable;
-    pre-existing person variables are left untouched and reserve their
-    slot. More than three distinct names is an error.
+    ``name_lexicon`` holds lowercased names, as :func:`load_name_lexicon`
+    returns them; a token matches when its lowercased form, less any
+    possessive suffix, is in it. Repeated mentions of the same name map to
+    the same variable; pre-existing person variables are left untouched
+    and reserve their slot. More than three distinct names is an error.
     """
     if not raw.strip():
         raise IngestError("raw event must be non-empty")
-    lexicon = {n.lower() for n in name_lexicon}
     tokens = raw.split()
 
     used = {
@@ -139,7 +168,7 @@ def normalize_event(raw: str, name_lexicon: set[str]) -> EventPhrase:
             continue
         base, suffix = _split_possessive(tok)
         key = base.lower()
-        if key in lexicon:
+        if key in name_lexicon:
             if key not in mapping:
                 if not free:
                     raise IngestError(
@@ -162,6 +191,9 @@ def blank_infrequent_args(
     verb phrases by construction) and is never blanked. An argument span
     is blanked when it occurs verbatim after the verb and its (verb, span)
     count falls below the threshold; spans absent from the table are kept.
+    At each position the longest rare span wins, found by one lookup per
+    span length in the table's per-verb index, so a call costs time in
+    the event's length, not the table's.
     Idempotent: placeholders never match an argument string.
     """
     if threshold is None:
@@ -176,13 +208,7 @@ def blank_infrequent_args(
     if verb is None:
         raise IngestError(f"no identifiable verb token in {event.text!r}")
 
-    rare_args = [
-        args.split()
-        for (v, args), count in sorted(
-            freq.counts.items(), key=lambda kv: (-len(kv[0][1].split()), kv[0])
-        )
-        if v == verb and count < threshold and args
-    ]
+    spans, lengths = freq._spans.get(verb, ({}, ()))
     out: list[str] = []
     i = 0
     while i < len(tokens):
@@ -190,14 +216,12 @@ def blank_infrequent_args(
             out.append(tokens[i])
             i += 1
             continue
-        replaced = False
-        for span in rare_args:
-            if tokens[i : i + len(span)] == span:
+        for n in lengths:
+            if i + n <= len(tokens) and spans.get(tuple(tokens[i : i + n]), threshold) < threshold:
                 out.append(BLANK_TOKEN)
-                i += len(span)
-                replaced = True
+                i += n
                 break
-        if not replaced:
+        else:
             out.append(tokens[i])
             i += 1
     return EventPhrase.from_text(" ".join(out))
@@ -223,6 +247,15 @@ def content_key(event: EventPhrase, stopwords: set[str]) -> tuple[str, str]:
     return (content[0], content[1])
 
 
+def check_ratios(ratios: tuple[float, ...]) -> None:
+    """Raise :class:`IngestError` unless ``ratios`` are three non-negative
+    train/dev/test shares that sum to 1."""
+    if len(ratios) != 3 or not all(r >= 0 for r in ratios):
+        raise IngestError(f"ratios must be three non-negative numbers, got {ratios}")
+    if not abs(sum(ratios) - 1.0) <= 1e-9:
+        raise IngestError(f"ratios must sum to 1, got {ratios}")
+
+
 def split_events(
     events: list[EventPhrase],
     ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
@@ -236,8 +269,7 @@ def split_events(
     target (ties favor train, then dev). Events sharing a content key can
     therefore never land in different splits.
     """
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise IngestError(f"ratios must sum to 1, got {ratios}")
+    check_ratios(ratios)
     if stopwords is None:
         stopwords = default_stopwords()
 

@@ -156,6 +156,62 @@ def stats_oracle(triples):
     }
 
 
+def blank_infrequent_args_reference(event, freq, threshold=None):
+    """The sort-per-call blanking: every call ranks the whole table, rare
+    spans longest first, and takes the first one that matches at each
+    position. A key whose argument string has no tokens would match
+    everywhere without advancing, so callers must not pass one."""
+    from ifthen.graph import BLANK_TOKEN, EventPhrase, person_variable_of
+    from ifthen.ingest import (
+        DEFAULT_MIN_COUNT,
+        NGRAMS_TOP_RANK,
+        FrequencySource,
+        IngestError,
+    )
+
+    if threshold is None:
+        if freq.source is FrequencySource.Ngrams:
+            ranked = sorted(freq.counts.values(), reverse=True)
+            threshold = 1 if len(ranked) <= NGRAMS_TOP_RANK else ranked[NGRAMS_TOP_RANK - 1]
+        else:
+            threshold = DEFAULT_MIN_COUNT[freq.source]
+    if threshold < 1:
+        raise IngestError(f"threshold must be >= 1, got {threshold}")
+    tokens = event.tokens
+    verb = next(
+        (t for t in tokens if person_variable_of(t) is None and t != BLANK_TOKEN),
+        None,
+    )
+    if verb is None:
+        raise IngestError(f"no identifiable verb token in {event.text!r}")
+
+    rare_args = [
+        args.split()
+        for (v, args), count in sorted(
+            freq.counts.items(), key=lambda kv: (-len(kv[0][1].split()), kv[0])
+        )
+        if v == verb and count < threshold and args
+    ]
+    out = []
+    i = 0
+    while i < len(tokens):
+        if tokens[i] == verb and verb not in out:
+            out.append(tokens[i])
+            i += 1
+            continue
+        replaced = False
+        for span in rare_args:
+            if tokens[i : i + len(span)] == span:
+                out.append(BLANK_TOKEN)
+                i += len(span)
+                replaced = True
+                break
+        if not replaced:
+            out.append(tokens[i])
+            i += 1
+    return EventPhrase.from_text(" ".join(out))
+
+
 def overlap_oracle(atlas, edges, normalizer, group_dims, group_relations):
     """Double loop over triples x edges for one dimension group."""
     total = 0

@@ -329,6 +329,12 @@ class TestExitCodes:
         (["generate", "--ckpt", "{tmp}/m.ckpt", "--atlas", "{atlas}", "--max-len", "-3",
           "--out", "{tmp}/g.jsonl"], 1),
         (["split", "--atlas", "{atlas}", "--ratios", "a,b,c", "--out", "{tmp}/s.json"], 1),
+        (["split", "--atlas", "{atlas}", "--ratios", "1.5,-0.25,-0.25",
+          "--out", "{tmp}/s.json"], 1),
+        (["split", "--atlas", "{atlas}", "--ratios", "0.5,0.3,0.1", "--out", "{tmp}/s.json"], 1),
+        (["ingest", "--in", "{atlas}", "--out", "{tmp}/o.tsv", "--freq-table", "{tmp}/f.tsv",
+          "--blank-threshold", "0"], 1),
+        (["ingest", "--in", "{atlas}", "--out", "{tmp}/o.tsv", "--blank-threshold", "3"], 1),
         (["export-human-eval", "--gen", "{tmp}/g.jsonl", "--sample-size", "-1",
           "--out", "{tmp}/sheet.tsv"], 1),
         (["eval-bleu", "--gen", "{tmp}/g.jsonl", "--atlas", "{atlas}", "--k", "0"], 1),
@@ -336,6 +342,8 @@ class TestExitCodes:
           "--out", "{tmp}/g.jsonl"], 2),
     ], ids=["gradcheck-epsilon-0", "gradcheck-epsilon-negative", "gradcheck-hidden-0",
             "generate-max-len-0", "generate-max-len-negative", "split-ratios-not-numbers",
+            "split-ratios-negative", "split-ratios-not-summing-to-1",
+            "ingest-blank-threshold-0", "ingest-blank-threshold-without-freq-table",
             "export-sample-size-negative", "eval-bleu-k-0", "generate-missing-ckpt"])
     def test_bad_flag_value_exit_code(self, atlas, tmp_path, capsys, argv, expected):
         assert run([a.format(atlas=atlas, tmp=tmp_path) for a in argv]) == expected

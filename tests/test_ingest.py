@@ -1,4 +1,5 @@
 import io
+import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from ifthen.graph import EventPhrase, Split
 from ifthen.ingest import (
+    NGRAMS_TOP_RANK,
     FrequencySource,
     FrequencyTable,
     IngestError,
@@ -13,9 +15,11 @@ from ifthen.ingest import (
     content_key,
     default_stopwords,
     load_frequency_table,
+    load_name_lexicon,
     normalize_event,
     split_events,
 )
+from oracles import blank_infrequent_args_reference
 
 NAMES = {"alex", "taylor", "jordan", "sam"}
 
@@ -45,6 +49,11 @@ class TestNormalizeEvent:
         once = normalize_event("Alex buys Taylor coffee", NAMES)
         twice = normalize_event(once.text, NAMES)
         assert once == twice
+
+    def test_lexicon_file_case_ignored(self):
+        lexicon = load_name_lexicon(io.StringIO("ALEX\n"))
+        ev = normalize_event("Alex calls alex's friend ALEX", lexicon)
+        assert ev.text == "PersonX calls PersonX's friend PersonX"
 
 
 class TestBlanking:
@@ -92,6 +101,89 @@ class TestBlanking:
         )
         assert table.counts[("drinks", "dark roast")] == 2
         assert table.source is FrequencySource.Stories
+
+    def test_whitespace_only_argument_ignored(self):
+        # " " splits to no tokens; such a span would match everywhere.
+        table = load_frequency_table(io.StringIO("drinks\t \t1\tstories\n"))
+        ev = EventPhrase.from_text("drinks coffee")
+        assert blank_infrequent_args(ev, table, 5).text == "drinks coffee"
+
+    def test_rarest_of_same_tokens_blanks(self):
+        table = FrequencyTable(
+            counts={("drinks", "dark roast"): 50, ("drinks", "dark  roast"): 2},
+            source=FrequencySource.Stories,
+        )
+        ev = EventPhrase.from_text("drinks dark roast")
+        assert blank_infrequent_args(ev, table, 5).text == "drinks ___"
+
+    def test_longest_rare_span_wins(self):
+        table = FrequencyTable(
+            counts={("drinks", "dark"): 1, ("drinks", "dark roast"): 1,
+                    ("drinks", "roast coffee"): 1},
+            source=FrequencySource.Stories,
+        )
+        ev = EventPhrase.from_text("drinks dark roast coffee")
+        assert blank_infrequent_args(ev, table, 5).text == "drinks ___ coffee"
+
+    def test_counts_read_only(self):
+        counts = {("drinks", "coffee"): 2}
+        table = FrequencyTable(counts=counts, source=FrequencySource.Stories)
+        with pytest.raises(TypeError):
+            table.counts[("drinks", "coffee")] = 50
+        counts[("drinks", "coffee")] = 50  # the caller's dict is not the table's
+        ev = EventPhrase.from_text("drinks coffee")
+        assert blank_infrequent_args(ev, table, 5).text == "drinks ___"
+        assert table == FrequencyTable(counts={("drinks", "coffee"): 2},
+                                       source=FrequencySource.Stories)
+        assert table != FrequencyTable(counts=counts, source=FrequencySource.Stories)
+
+    def test_ngrams_threshold_is_top_rank_count(self):
+        values = list(range(1, NGRAMS_TOP_RANK + 2))  # 10,001 distinct counts
+        random.Random(0).shuffle(values)
+        counts = {("v", f"a{i}"): c for i, c in enumerate(values)}
+        table = FrequencyTable(counts=counts, source=FrequencySource.Ngrams)
+        assert table.default_threshold() == 2  # the 10,000th largest
+        del counts[("v", f"a{values.index(1)}")]
+        short = FrequencyTable(counts=counts, source=FrequencySource.Ngrams)
+        assert short.default_threshold() == 1
+        one_row = FrequencyTable(counts={("v", "a"): 50}, source=FrequencySource.Ngrams)
+        assert one_row.default_threshold() == 1
+
+
+VOCAB = ["drinks", "eats", "dark", "roast", "coffee", "PersonX", "PersonY", "___"]
+_args = st.one_of(
+    st.just(""),
+    st.builds(lambda toks, sep, pad: pad + sep.join(toks) + pad,
+              st.lists(st.sampled_from(VOCAB), min_size=1, max_size=3),
+              st.sampled_from([" ", "  ", "\t"]), st.sampled_from(["", " "])),
+)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:  # IngestError, or an event left without PersonX
+        return type(exc)
+
+
+class TestBlankingMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        counts=st.dictionaries(
+            st.tuples(st.sampled_from(["drinks", "eats", "dark"]), _args),
+            st.integers(1, 12), max_size=12),
+        event=st.lists(st.sampled_from(VOCAB + ["PersonX's"]), min_size=1, max_size=8),
+        threshold=st.one_of(st.none(), st.integers(1, 10)),
+        source=st.sampled_from(FrequencySource),
+    )
+    def test_equals_sort_per_call_reference(self, counts, event, threshold, source):
+        try:
+            ev = EventPhrase.from_text(" ".join(event))
+        except ValueError:
+            assume(False)
+        table = FrequencyTable(counts=counts, source=source)
+        assert (_outcome(blank_infrequent_args, ev, table, threshold)
+                == _outcome(blank_infrequent_args_reference, ev, table, threshold))
 
 
 class TestContentKey:
@@ -148,6 +240,13 @@ class TestSplitEvents:
         events = [EventPhrase.from_text(f"PersonX item{i}") for i in range(10)]
         with pytest.raises(IngestError):
             split_events(events, ratios=(0.5, 0.5, 0.5))
+
+    @pytest.mark.parametrize("ratios", [(1.5, -0.25, -0.25), (float("nan"), 0.5, 0.5),
+                                        (0.5, 0.5)])
+    def test_negative_nan_or_missing_ratio(self, ratios):
+        events = [EventPhrase.from_text(f"PersonX item{i}") for i in range(10)]
+        with pytest.raises(IngestError):
+            split_events(events, ratios=ratios)
 
     @settings(max_examples=30, deadline=None)
     @given(
