@@ -331,10 +331,6 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    triples = parse_atlas_file(args.atlas)
-    train_triples = [t for t in triples if t.split is Split.Train]
-    if not train_triples:
-        raise IngestError("no train-split triples in atlas")
     try:
         config = ModelConfig(
             variant=ModelVariant(args.variant),
@@ -350,6 +346,10 @@ def _cmd_train(args) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    triples = parse_atlas_file(args.atlas)
+    train_triples = [t for t in triples if t.split is Split.Train]
+    if not train_triples:
+        raise IngestError("no train-split triples in atlas")
     vocab = build_vocab(train_triples, config.min_count)
     pretrained = None
     if args.embeddings:

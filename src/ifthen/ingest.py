@@ -209,13 +209,9 @@ def blank_infrequent_args(
         raise IngestError(f"no identifiable verb token in {event.text!r}")
 
     spans, lengths = freq._spans.get(verb, ({}, ()))
-    out: list[str] = []
-    i = 0
+    i = tokens.index(verb) + 1
+    out = tokens[:i]
     while i < len(tokens):
-        if tokens[i] == verb and verb not in out:
-            out.append(tokens[i])
-            i += 1
-            continue
         for n in lengths:
             if i + n <= len(tokens) and spans.get(tuple(tokens[i : i + n]), threshold) < threshold:
                 out.append(BLANK_TOKEN)

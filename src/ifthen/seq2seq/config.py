@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from enum import Enum
 
@@ -37,6 +38,10 @@ class ModelConfig:
                      "batch_size", "epochs", "min_count"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        for name in ("learning_rate", "clip_norm"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
     def to_dict(self) -> dict:
         d = asdict(self)

@@ -94,6 +94,14 @@ class ModelParams:
     def zero_grads(self) -> dict[str, np.ndarray]:
         return {name: np.zeros(arr.shape) for name, arr in self.arrays.items()}
 
+    def tensors_of(self, dimension) -> list[str]:
+        """The tensors an instance of ``dimension`` routes through, in
+        ``param_order``: the embedding, its encoder's cells and bridge, and
+        its own decoder. Every other gradient of such an instance is zero."""
+        dimension, eid = _encoder_of(self, dimension)
+        owned = (f"encoder/{eid}/", f"bridge/{eid}/", f"decoder/{dimension.value}/")
+        return [n for n in self.param_order if n == "embedding" or n.startswith(owned)]
+
 
 def _param_shapes(config: ModelConfig, vocab_size: int) -> dict[str, tuple[int, ...]]:
     """Every tensor's shape, keyed by name in the canonical flattening order."""

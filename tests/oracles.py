@@ -194,11 +194,12 @@ def blank_infrequent_args_reference(event, freq, threshold=None):
     ]
     out = []
     i = 0
+    while tokens[i] != verb:  # nothing up to the verb is an argument
+        out.append(tokens[i])
+        i += 1
+    out.append(verb)
+    i += 1
     while i < len(tokens):
-        if tokens[i] == verb and verb not in out:
-            out.append(tokens[i])
-            i += 1
-            continue
         replaced = False
         for span in rare_args:
             if tokens[i : i + len(span)] == span:
@@ -360,3 +361,52 @@ def batch_loss_and_grads_reference(arrays, encoder_of, batch, bos, eos):
                 arrays, grads, encoder_of[dim], dim, event_ids, target_ids, bos, eos, weight)
         total += dim_total / len(insts)
     return total / len(by_dim), grads
+
+
+def train_reference(params, dataset, config, loss_and_grads):
+    """The step-every-tensor training loop, in textbook formulas.
+
+    Every batch zeroes a gradient for every tensor, clips their global
+    norm and takes an Adam step (beta1 0.9, beta2 0.999, eps 1e-8) on
+    every tensor, reached or not. ``loss_and_grads(params, batch, grads)``
+    is the batch forward and backward pass; ``params.arrays`` is updated
+    in place. Returns the per-epoch multitask mean losses; raises
+    :class:`FloatingPointError` where training must abort.
+    """
+    arrays = params.arrays
+    b1, b2, eps, lr = 0.9, 0.999, 1e-8, config.learning_rate
+    m = {n: np.zeros(a.shape) for n, a in arrays.items()}
+    v = {n: np.zeros(a.shape) for n, a in arrays.items()}
+    t = 0
+    rng = np.random.default_rng(config.seed)
+    trace = []
+    for epoch in range(config.epochs):
+        perm = rng.permutation(len(dataset))
+        totals: dict = {}
+        for start in range(0, len(dataset), config.batch_size):
+            batch = [dataset[i] for i in perm[start : start + config.batch_size]]
+            grads = {n: np.zeros(a.shape) for n, a in arrays.items()}
+            losses = loss_and_grads(params, batch, grads)
+            if not np.isfinite(losses).all():
+                raise FloatingPointError(f"non-finite loss at epoch {epoch}, batch start {start}")
+            for inst, loss in zip(batch, losses.tolist()):
+                total, count = totals.get(inst.dimension, (0.0, 0))
+                totals[inst.dimension] = (total + loss, count + 1)
+            norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+            if not math.isfinite(norm):
+                raise FloatingPointError(
+                    f"non-finite gradient norm {norm} at epoch {epoch}, batch start {start}")
+            if config.clip_norm > 0 and norm > config.clip_norm:
+                grads = {n: g * (config.clip_norm / norm) for n, g in grads.items()}
+            if lr == 0.0:
+                continue
+            t += 1
+            for n, g in grads.items():
+                m[n] = b1 * m[n] + (1 - b1) * g
+                v[n] = b2 * v[n] + (1 - b2) * g * g
+                arrays[n] -= lr * (m[n] / (1 - b1**t)) / (np.sqrt(v[n] / (1 - b2**t)) + eps)
+        epoch_mean = sum(total / count for total, count in totals.values()) / len(totals)
+        trace.append(epoch_mean)
+        if config.early_stop_loss is not None and epoch_mean < config.early_stop_loss:
+            break
+    return trace

@@ -338,13 +338,17 @@ class TestExitCodes:
         (["export-human-eval", "--gen", "{tmp}/g.jsonl", "--sample-size", "-1",
           "--out", "{tmp}/sheet.tsv"], 1),
         (["eval-bleu", "--gen", "{tmp}/g.jsonl", "--atlas", "{atlas}", "--k", "0"], 1),
+        (["train", "--atlas", "{atlas}", "--out", "{tmp}/m.ckpt", "--learning-rate", "nan"], 1),
+        (["train", "--atlas", "{atlas}", "--out", "{tmp}/m.ckpt", "--learning-rate", "inf"], 1),
+        (["train", "--atlas", "{atlas}", "--out", "{tmp}/m.ckpt", "--learning-rate=-1e-3"], 1),
         (["generate", "--ckpt", "{tmp}/m.ckpt", "--atlas", "{atlas}", "--max-len", "1",
           "--out", "{tmp}/g.jsonl"], 2),
     ], ids=["gradcheck-epsilon-0", "gradcheck-epsilon-negative", "gradcheck-hidden-0",
             "generate-max-len-0", "generate-max-len-negative", "split-ratios-not-numbers",
             "split-ratios-negative", "split-ratios-not-summing-to-1",
             "ingest-blank-threshold-0", "ingest-blank-threshold-without-freq-table",
-            "export-sample-size-negative", "eval-bleu-k-0", "generate-missing-ckpt"])
+            "export-sample-size-negative", "eval-bleu-k-0", "train-learning-rate-nan",
+            "train-learning-rate-inf", "train-learning-rate-negative", "generate-missing-ckpt"])
     def test_bad_flag_value_exit_code(self, atlas, tmp_path, capsys, argv, expected):
         assert run([a.format(atlas=atlas, tmp=tmp_path) for a in argv]) == expected
         err = capsys.readouterr().err

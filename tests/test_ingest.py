@@ -84,6 +84,18 @@ class TestBlanking:
         out = blank_infrequent_args(ev, freq, 5)
         assert out.tokens[0] == "drinks"
 
+    def test_span_before_verb_never_blanked(self):
+        table = FrequencyTable(counts={("drinks", "PersonX drinks"): 1},
+                               source=FrequencySource.Stories)
+        ev = EventPhrase.from_text("PersonX drinks coffee")
+        assert blank_infrequent_args(ev, table, 5).text == "PersonX drinks coffee"
+
+    def test_subject_never_blanked(self):
+        # Blanking PersonX would leave PersonY without PersonX: not an event.
+        table = FrequencyTable(counts={("gives", "PersonX"): 1}, source=FrequencySource.Stories)
+        ev = EventPhrase.from_text("PersonX gives PersonY a book")
+        assert blank_infrequent_args(ev, table, 5).text == "PersonX gives PersonY a book"
+
     def test_no_verb_is_error(self, freq):
         ev = EventPhrase.from_text("PersonX ___")
         with pytest.raises(IngestError):

@@ -272,6 +272,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             ModelConfig(enc_hidden=65)
 
+    @pytest.mark.parametrize("field", ["learning_rate", "clip_norm"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1e-3])
+    def test_bad_rate_or_clip_norm_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ModelConfig(**{field: value})
+
+    def test_zero_rate_and_clip_norm_allowed(self):
+        ModelConfig(learning_rate=0.0, clip_norm=0.0)
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             ModelConfig.from_dict({"variant": "single9", "bogus": 1})

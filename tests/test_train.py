@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import poison_gradients, random_instance, toy_params
 
-from oracles import batch_loss_and_grads_reference
+from oracles import batch_loss_and_grads_reference, train_reference
 
 from ifthen.seq2seq import (
     AdamOptimizer,
@@ -20,7 +21,7 @@ from ifthen.seq2seq import (
     init_params,
     train,
 )
-from ifthen.seq2seq.model import TrainingInstance, sequence_loss
+from ifthen.seq2seq.model import ModelParams, TrainingInstance, sequence_loss
 from ifthen.seq2seq.vocab import RESERVED_TOKENS, VocabularyMap
 from ifthen.taxonomy import Dimension
 
@@ -131,6 +132,35 @@ class TestBatchedEngine:
         for name, ref in ref_grads.items():
             np.testing.assert_allclose(grads[name], ref, rtol=0, atol=1e-12, err_msg=name)
 
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_gradients_stay_in_reached_tensors(self, variant, data):
+        # Training skips the tensors outside tensors_of(d) for the batch's
+        # dimensions d; that is exact only while their gradients are zero.
+        params = toy_params(variant, seed=data.draw(st.integers(0, 1000)))
+        dims = data.draw(st.lists(st.sampled_from(params.decoder_dims), min_size=1, max_size=8))
+        rng = np.random.default_rng(data.draw(st.integers(0, 1000)))
+        batch = [random_instance(params, rng, int(rng.integers(1, 6)), int(rng.integers(0, 4)), d)
+                 for d in dims]
+        grads = params.zero_grads()
+        batch_loss_and_grads(params, batch, grads)
+        reached = set().union(*(params.tensors_of(d) for d in dims))
+        for name, g in grads.items():
+            if name not in reached:
+                assert not g.any(), name
+
+    def test_tensors_of_in_param_order(self):
+        params = toy_params(ModelVariant.EventInvolEvent)
+        names = params.tensors_of(Dimension.xReact)
+        assert names == [n for n in params.param_order if n in set(names)]
+        assert names[0] == "embedding"
+        assert {n.rsplit("/", 1)[0] for n in names[1:]} == {
+            "bridge/involuntary", "encoder/involuntary/fwd", "encoder/involuntary/bwd",
+            "decoder/xReact"}
+        with pytest.raises(ValueError):
+            toy_params(ModelVariant.EventPrePost).tensors_of(Dimension.xAttr)
+
 
 class TestAdam:
     def test_step_equals_textbook_formula(self):
@@ -150,6 +180,41 @@ class TestAdam:
                 expected[n] = expected[n] - lr * (m[n] / (1 - b1**t)) / (
                     np.sqrt(v[n] / (1 - b2**t)) + eps)
                 np.testing.assert_array_equal(params.arrays[n], expected[n], err_msg=n)
+
+    def test_blocked_step_equals_textbook_formula(self):
+        # W_o and the embedding span several update blocks at this size.
+        params = toy_params(vocab_size=2100, seed=5)
+        lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
+        opt = AdamOptimizer(params, lr)
+        expected = {n: a.copy() for n, a in params.arrays.items()}
+        m = {n: np.zeros_like(a) for n, a in expected.items()}
+        v = {n: np.zeros_like(a) for n, a in expected.items()}
+        rng = np.random.default_rng(1)
+        for t in range(1, 3):
+            grads = {n: rng.normal(size=a.shape) for n, a in expected.items()}
+            opt.step(params, grads)
+            for n, g in grads.items():
+                m[n] = b1 * m[n] + (1 - b1) * g
+                v[n] = b2 * v[n] + (1 - b2) * g * g
+                expected[n] = expected[n] - lr * (m[n] / (1 - b1**t)) / (
+                    np.sqrt(v[n] / (1 - b2**t)) + eps)
+                np.testing.assert_array_equal(params.arrays[n], expected[n], err_msg=n)
+
+    def test_step_updates_named_tensors_and_never_drops_one(self):
+        params = toy_params(seed=5)
+        opt = AdamOptimizer(params, 1e-2)
+        grads = {n: np.ones_like(a) for n, a in params.arrays.items()}
+        before = {n: a.copy() for n, a in params.arrays.items()}
+        opt.step(params, {"embedding": grads["embedding"]})
+        for name, arr in params.arrays.items():
+            assert np.array_equal(arr, before[name]) == (name != "embedding"), name
+        opt.step(params, grads)
+        before = {n: a.copy() for n, a in params.arrays.items()}
+        with pytest.raises(ValueError, match="decoder/xWant/W_o"):
+            opt.step(params, {"embedding": grads["embedding"]})
+        assert opt.t == 2
+        for name, arr in params.arrays.items():
+            np.testing.assert_array_equal(arr, before[name], err_msg=name)
 
 
 class TestTrain:
@@ -255,3 +320,68 @@ class TestTrain:
         cfg = dataclasses.replace(params.config, epochs=1)
         with pytest.raises(NumericError, match="gradient norm"):
             train(params, [inst], cfg)
+
+
+def _train_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (NumericError, FloatingPointError) as exc:
+        return str(exc)
+
+
+def assert_trains_like_reference(params, dataset, config):
+    """train() and the step-every-tensor loop, each on its own copy, agree
+    bit for bit: parameters, loss trace, and where training aborts."""
+    ref = ModelParams(config, params.vocab, {n: a.copy() for n, a in params.arrays.items()},
+                      list(params.param_order))
+    with np.errstate(all="ignore"):
+        got = _train_outcome(lambda: train(params, dataset, config)[1])
+        want = _train_outcome(train_reference, ref, dataset, config, batch_loss_and_grads)
+    assert got == want
+    for name in params.param_order:
+        np.testing.assert_array_equal(params.arrays[name], ref.arrays[name], err_msg=name)
+
+
+class TestTrainMatchesReference:
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_equals_step_every_tensor_loop(self, variant, data):
+        # One-instance batches over alternating dimensions leave most
+        # tensors idle in most steps, and live ones idle between visits.
+        params = toy_params(variant, seed=data.draw(st.integers(0, 1000)))
+        dims = data.draw(st.lists(st.sampled_from(params.decoder_dims), min_size=2, max_size=4,
+                                  unique=True))
+        rng = np.random.default_rng(data.draw(st.integers(0, 1000)))
+        dataset = [random_instance(params, rng, int(rng.integers(1, 5)), int(rng.integers(0, 4)),
+                                   dims[k % len(dims)])
+                   for k in range(data.draw(st.integers(len(dims), 8)))]
+        config = dataclasses.replace(
+            params.config, epochs=2, batch_size=data.draw(st.sampled_from([1, 1, 3])),
+            learning_rate=data.draw(st.sampled_from([0.0, 1e-2, 0.5])),
+            clip_norm=data.draw(st.sampled_from([0.0, 1e-3, 5.0])),
+            seed=data.draw(st.integers(0, 1000)))
+        poison = data.draw(st.sampled_from([None, np.nan, np.inf, 1e200]))
+        if poison is not None:
+            name = data.draw(st.sampled_from(params.param_order))
+            flat = params.arrays[name].reshape(-1)
+            flat[data.draw(st.integers(0, flat.size - 1))] = poison
+        assert_trains_like_reference(params, dataset, config)
+
+    def test_equals_reference_when_clipping_fires(self, monkeypatch):
+        train_module = importlib.import_module("ifthen.seq2seq.train")
+        norms = []
+
+        def recording_clip(grads, max_norm):
+            norms.append(clip_gradients(grads, max_norm))
+            return norms[-1]
+
+        monkeypatch.setattr(train_module, "clip_gradients", recording_clip)
+        params = toy_params(ModelVariant.EventPersonXY, seed=4)
+        rng = np.random.default_rng(4)
+        dims = params.decoder_dims
+        dataset = [random_instance(params, rng, dim=dims[k % len(dims)]) for k in range(6)]
+        config = dataclasses.replace(params.config, epochs=2, batch_size=1, clip_norm=0.05,
+                                     learning_rate=1e-2)
+        assert_trains_like_reference(params, dataset, config)
+        assert any(n > config.clip_norm for n in norms)
