@@ -22,7 +22,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from ifthen.graph import AtlasGraph, normalize_node_text, query_inferences
+from ifthen.graph import AtlasGraph, EventIndex, normalize_node_text, query_inferences
 from ifthen.seq2seq.model import ModelParams, decode_step, initial_decoder_state
 from ifthen.taxonomy import Dimension
 
@@ -147,46 +147,35 @@ def nearest_neighbor_predict(
     Events are compared by cosine similarity of mean token embeddings;
     ties and an unrepresentable query (no known tokens) fall back to
     lexicographic event order.
+
+    The graph's cached :attr:`AtlasGraph.event_index` supplies the events
+    and their token ids; ``embeddings`` is read afresh on every call, so
+    it may change between calls.
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     dimension = Dimension(dimension)
-    train_events = sorted(
-        {
-            ev
-            for (ev, dim), edges in train_graph.adjacency.items()
-            if dim is dimension and any(not e.target.is_empty for e in edges)
-        }
-    )
-    if not train_events:
+    index = train_graph.event_index.get(dimension)
+    if index is None:
         return GenerationList(
             event=event, dimension=dimension, beam_width=k, entries=()
         )
 
-    def mean_vector(text: str) -> np.ndarray | None:
-        vecs = [embeddings[t] for t in text.split() if t in embeddings]
-        if not vecs:
-            return None
-        return np.mean(vecs, axis=0)
-
-    def cosine(a: np.ndarray, b: np.ndarray) -> float:
-        na, nb = np.linalg.norm(a), np.linalg.norm(b)
-        if na == 0.0 or nb == 0.0:
-            return -math.inf
-        return float(np.dot(a, b) / (na * nb))
-
-    query = mean_vector(normalize_node_text(event))
-    scored: list[tuple[float, str]] = []
-    for ev in train_events:
-        vec = mean_vector(ev)
-        sim = -math.inf if query is None or vec is None else cosine(query, vec)
-        scored.append((sim, ev))
-    scored.sort(key=lambda sv: (-sv[0], sv[1]))
+    known = [embeddings[t] for t in normalize_node_text(event).split() if t in embeddings]
+    if known:
+        sims = _cosine_to_events(index, embeddings, np.mean(known, axis=0))
+        # Events are in text order, so a stable sort breaks ties by text.
+        order = np.argsort(-sims, kind="stable").tolist()
+        scores = sims.tolist()
+    else:
+        # Unrepresentable query: lexicographic order with a neutral score.
+        order = range(len(index.events))
+        scores = [0.0] * len(index.events)
 
     entries: list[tuple[tuple[str, ...], float]] = []
     seen: set[tuple[str, ...]] = set()
-    for sim, ev in scored:
-        # Unrepresentable query: documented fallback to lexicographic order
-        # with a neutral score.
-        score = 0.0 if query is None else sim
+    for i in order:
+        ev = index.events[i]
         for target in sorted(
             query_inferences(train_graph, ev, dimension), key=lambda t: t.text
         ):
@@ -194,7 +183,7 @@ def nearest_neighbor_predict(
             if tokens in seen:
                 continue
             seen.add(tokens)
-            entries.append((tokens, score))
+            entries.append((tokens, scores[i]))
             if len(entries) == k:
                 return GenerationList(
                     event=event, dimension=dimension, beam_width=k, entries=tuple(entries)
@@ -202,6 +191,34 @@ def nearest_neighbor_predict(
     return GenerationList(
         event=event, dimension=dimension, beam_width=k, entries=tuple(entries)
     )
+
+
+def _cosine_to_events(
+    index: EventIndex, embeddings: dict[str, np.ndarray], query: np.ndarray
+) -> np.ndarray:
+    """Cosine of ``query`` with every indexed event's mean token embedding.
+
+    An event with no known tokens, or a zero vector on either side, scores
+    ``-inf``. Each score rounds as a per-event ``np.mean`` and ``np.dot``
+    would, row by row, so events with equal mean vectors get equal scores,
+    and events whose scores differ only by rounding keep their order.
+    """
+    zero = np.zeros(query.size)
+    # Unknown tokens and the padding (the last row) add zero and count 0.
+    table = np.array([embeddings.get(t, zero) for t in index.tokens] + [zero])
+    known = np.array([t in embeddings for t in index.tokens] + [False])
+    ids = index.token_ids
+    # Summed column by column, so each event's known tokens add up in text
+    # order, as np.mean adds them, wherever its unknown ones sit.
+    means = table[ids[:, 0]]
+    for col in range(1, ids.shape[1]):
+        means += table[ids[:, col]]
+    means /= np.maximum(known[ids].sum(axis=1), 1)[:, None]
+    # np.vecdot takes one BLAS dot per row, like np.dot and np.linalg.norm.
+    denom = np.sqrt(query @ query) * np.sqrt(np.vecdot(means, means))
+    sims = np.full(len(index.events), -math.inf)
+    np.divide(np.vecdot(means, query), denom, out=sims, where=denom > 0)
+    return sims
 
 
 def write_generations(generations: Iterable[GenerationList], stream: IO[str]) -> None:

@@ -12,7 +12,10 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from statistics import fmean
+
+import numpy as np
 
 from ifthen.taxonomy import ContentType, Dimension, classify_dimension
 
@@ -126,6 +129,31 @@ class Edge:
 
 
 @dataclass(frozen=True)
+class EventIndex:
+    """One dimension's events with a non-empty target, tokenized for retrieval.
+
+    ``events`` are normalized texts in lexicographic order; row ``i`` of
+    ``token_ids`` holds the positions in ``tokens`` (the distinct tokens)
+    of event ``i``'s tokens, right-padded with ``len(tokens)``.
+    """
+
+    events: tuple[str, ...]
+    tokens: tuple[str, ...]
+    token_ids: np.ndarray
+
+    @classmethod
+    def build(cls, events: list[str]) -> "EventIndex":
+        positions: dict[str, int] = {}
+        rows = [[positions.setdefault(t, len(positions)) for t in ev.split()]
+                for ev in events]
+        token_ids = np.full((len(rows), max(map(len, rows))), len(positions), dtype=np.intp)
+        for i, row in enumerate(rows):
+            token_ids[i, : len(row)] = row
+        token_ids.flags.writeable = False
+        return cls(events=tuple(events), tokens=tuple(positions), token_ids=token_ids)
+
+
+@dataclass(frozen=True)
 class AtlasGraph:
     """Immutable deduplicated graph; all queries are read-only.
 
@@ -145,6 +173,19 @@ class AtlasGraph:
         for edge in self.edges:
             out.extend(edge.to_triples())
         return out
+
+    @cached_property
+    def event_index(self) -> dict[Dimension, EventIndex]:
+        """Per-dimension retrieval index, built on first use.
+
+        Dimensions whose events all have empty targets are absent. Safe to
+        cache because the graph is immutable.
+        """
+        events: dict[Dimension, list[str]] = {}
+        for (ev, dim), edges in self.adjacency.items():
+            if any(not e.target.is_empty for e in edges):
+                events.setdefault(dim, []).append(ev)
+        return {dim: EventIndex.build(sorted(evs)) for dim, evs in events.items()}
 
 
 @dataclass(frozen=True)

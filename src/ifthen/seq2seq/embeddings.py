@@ -26,6 +26,8 @@ def load_embedding_file(stream: IO[str]) -> dict[str, np.ndarray]:
             vec = np.array([float(v) for v in values.split()], dtype=float)
         except ValueError:
             raise EmbeddingFormatError(f"line {line_no}: non-numeric value") from None
+        if not np.isfinite(vec).all():
+            raise EmbeddingFormatError(f"line {line_no}: non-finite value")
         if dim is None:
             dim = vec.size
         elif vec.size != dim:

@@ -172,7 +172,9 @@ def init_params(
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-x))
+    # exp(-x) overflows to inf for x below about -709; the result, 0, is exact.
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -341,7 +343,10 @@ class _Decoder:
         logits = self.rnn.states @ self.w_o.T
         logits += self.b_o
         self.probs = _softmax(logits)
-        nll = -np.log(self.probs[np.arange(len(self.golds)), self.golds])
+        # A gold probability that underflowed to 0 gives an infinite loss,
+        # which train() reports as a NumericError.
+        with np.errstate(divide="ignore"):
+            nll = -np.log(self.probs[np.arange(len(self.golds)), self.golds])
         # Per instance: mean token cross entropy, summed in time order.
         self.losses = b.unsort(np.bincount(b.pos, weights=nll) / b.lengths)
 

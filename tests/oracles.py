@@ -213,6 +213,49 @@ def blank_infrequent_args_reference(event, freq, threshold=None):
     return EventPhrase.from_text(" ".join(out))
 
 
+def nearest_neighbor_reference(train_graph, embeddings, event, dimension, k):
+    """The per-event retrieval loop: every call walks the adjacency for the
+    dimension's events, then takes one ``np.mean`` and one cosine with two
+    norms per event. Returns ``(tokens, score)`` entries, best first."""
+
+    def normalize(text):
+        return " ".join(text.lower().split())
+
+    targets = {}
+    for (ev, dim), edges in train_graph.adjacency.items():
+        texts = [e.target.text for e in edges if not e.target.is_empty]
+        if dim is dimension and texts:
+            targets[ev] = sorted(texts)
+
+    def mean_vector(text):
+        vecs = [embeddings[t] for t in text.split() if t in embeddings]
+        return np.mean(vecs, axis=0) if vecs else None
+
+    def cosine(a, b):
+        na, nb = np.linalg.norm(a), np.linalg.norm(b)
+        if na == 0.0 or nb == 0.0:
+            return -math.inf
+        return float(np.dot(a, b) / (na * nb))
+
+    query = mean_vector(normalize(event))
+    scored = []
+    for ev in sorted(targets):
+        vec = mean_vector(ev)
+        sim = -math.inf if query is None or vec is None else cosine(query, vec)
+        scored.append((sim, ev))
+    scored.sort(key=lambda sv: (-sv[0], sv[1]))
+
+    entries = []
+    seen = set()
+    for sim, ev in scored:
+        for text in targets[ev]:
+            tokens = tuple(normalize(text).split())
+            if tokens not in seen:
+                seen.add(tokens)
+                entries.append((tokens, 0.0 if query is None else sim))
+    return entries[:k]
+
+
 def overlap_oracle(atlas, edges, normalizer, group_dims, group_relations):
     """Double loop over triples x edges for one dimension group."""
     total = 0

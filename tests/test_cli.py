@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -244,6 +245,31 @@ class TestExitCodes:
         assert self.generate_with_header(
             atlas, tmp_path, lambda h: h.update(format_version=1)) == 2
         assert "unsupported checkpoint format version 1" in capsys.readouterr().err
+
+    def test_non_finite_embedding_is_data_error(self, atlas, tmp_path, capsys):
+        emb = tmp_path / "emb.tsv"
+        emb.write_text("personx\t0.5 0.5\nruns\tnan 1.0\n")
+        gen = tmp_path / "nn.jsonl"
+        assert run(["generate", "--nearest", "--embeddings", str(emb), "--atlas", atlas,
+                    "--out", str(gen)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: line 2: non-finite value")
+        assert "Traceback" not in err
+        assert not gen.exists()
+
+    def test_overflowing_training_fails_without_runtime_warnings(self, atlas, tmp_path, capsys):
+        # A huge rate drives gate pre-activations past exp's range and a gold
+        # probability to 0: the run must stop on the numeric failure alone.
+        ckpt = tmp_path / "model.ckpt"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            status = run(train_args(atlas, str(ckpt), ["--epochs", "3", "--learning-rate", "50"]))
+        assert status == 3
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: non-finite loss")
+        assert "RuntimeWarning" not in err
+        assert not ckpt.exists()
 
     def test_nan_gradient_is_numeric_failure(self, atlas, tmp_path, capsys, monkeypatch):
         poison_gradients(monkeypatch)

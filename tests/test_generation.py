@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import make_triple, toy_params
 
-from oracles import beam_search_reference, enumerate_sequences
+from oracles import beam_search_reference, enumerate_sequences, nearest_neighbor_reference
 
 from ifthen.generation import (
     GenerationList,
@@ -192,6 +193,13 @@ class TestGenerationList:
         assert gl.texts == [f"t{i}" for i in range(len(scores))]
 
 
+def assert_matches(result, expected):
+    """Same token lists as the reference entries, scores within 1e-12."""
+    assert [tokens for tokens, _ in result.entries] == [tokens for tokens, _ in expected]
+    for (_, score), (_, ref_score) in zip(result.entries, expected):
+        assert score == ref_score or abs(score - ref_score) <= 1e-12
+
+
 class TestNearestNeighbor:
     def embeddings(self):
         return {
@@ -241,6 +249,122 @@ class TestNearestNeighbor:
             self.graph(), self.embeddings(), "PersonX walks", Dimension.oWant
         )
         assert result.entries == ()
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            nearest_neighbor_predict(
+                self.graph(), self.embeddings(), "PersonX walks", Dimension.xWant, k=k
+            )
+
+    def test_equal_mean_vectors_tie_in_event_order(self):
+        # The "walks" events differ only in tokens without a vector, so
+        # their mean vectors are equal wherever the unknown tokens sit; they
+        # land on rows of both parities around the other events.
+        rng = np.random.default_rng(3)
+        embeddings = {t: rng.standard_normal(37) for t in ("personx", "walks", "runs", "sleeps")}
+        walks = ["PersonX walks", "PersonX walks qq", "PersonX walks zz", "PersonX qq walks",
+                 "PersonX zz walks", "PersonX walks qq zz", "PersonX qq walks zz"]
+        graph = build_graph(
+            [make_triple(ev, "xWant", f"to stop {i}", "train") for i, ev in enumerate(walks)]
+            + [make_triple("PersonX runs", "xWant", "to win", "train"),
+               make_triple("PersonX runs qq", "xWant", "to win again", "train")])
+        result = nearest_neighbor_predict(graph, embeddings, "PersonX sleeps",
+                                          Dimension.xWant, k=len(walks) + 2)
+        ties = [(" ".join(tokens), score) for tokens, score in result.entries
+                if tokens[:2] == ("to", "stop")]
+        order = sorted(range(len(walks)), key=lambda i: walks[i].lower())
+        assert [text for text, _ in ties] == [f"to stop {i}" for i in order]
+        assert len({score for _, score in ties}) == 1
+        assert_matches(result, nearest_neighbor_reference(
+            graph, embeddings, "PersonX sleeps", Dimension.xWant, len(walks) + 2))
+
+    def test_permuted_events_order_as_per_event_loop(self):
+        # Permutations of one token list have equal mean vectors in exact
+        # arithmetic, so their scores differ only by rounding: the order
+        # holds only if every score rounds as the per-event loop's does.
+        rng = np.random.default_rng(5)
+        words = ["personx", "walks", "runs", "sleeps", "eats"]
+        embeddings = {t: rng.standard_normal(32) for t in words + ["talks"]}
+        events = [" ".join(p) for p in itertools.permutations(words)]
+        graph = build_graph([make_triple(ev, "xWant", f"to rest {i}", "train")
+                             for i, ev in enumerate(events)])
+        result = nearest_neighbor_predict(graph, embeddings, "PersonX talks", Dimension.xWant,
+                                          k=len(events))
+        expected = nearest_neighbor_reference(graph, embeddings, "PersonX talks",
+                                              Dimension.xWant, len(events))
+        assert len({score for _, score in expected}) > 1
+        assert_matches(result, expected)
+
+    def test_zero_vector_token_counts_toward_mean(self):
+        embeddings = {**self.embeddings(), "slowly": np.zeros(2)}
+        graph = build_graph([
+            make_triple("PersonX walks slowly", "xWant", "to rest", "train"),
+            make_triple("PersonX sleeps", "xWant", "to dream", "train"),
+        ])
+        result = nearest_neighbor_predict(graph, embeddings, "walks", Dimension.xWant, k=2)
+        e = embeddings
+        v = (e["personx"] + e["walks"]) / 3
+        expected = float(np.dot(e["walks"], v) / (np.linalg.norm(e["walks"]) * np.linalg.norm(v)))
+        assert result.texts == ["to rest", "to dream"]
+        assert abs(result.entries[0][1] - expected) < 1e-12
+
+    def test_embeddings_read_afresh_each_call(self):
+        graph, embeddings = self.graph(), self.embeddings()
+        for query in ("PersonX walks", "PersonX sleeps"):
+            before = nearest_neighbor_predict(graph, embeddings, query, Dimension.xWant, k=3)
+            assert_matches(before, nearest_neighbor_reference(
+                graph, embeddings, query, Dimension.xWant, 3))
+        embeddings["walks"] = np.array([0.0, 1.0])  # rebound
+        embeddings["sleeps"][:] = [1.0, -1.0]  # changed in place
+        del embeddings["runs"]
+        embeddings["qq"] = np.array([2.0, -1.0])  # added
+        for query in ("PersonX walks", "qq"):
+            after = nearest_neighbor_predict(graph, embeddings, query, Dimension.xWant, k=3)
+            assert_matches(after, nearest_neighbor_reference(
+                graph, embeddings, query, Dimension.xWant, 3))
+        assert after.texts == ["to dream", "to win", "to rest"]
+
+
+# A small pool makes ties common: events with the same known tokens in
+# another order or with unknown tokens between them, and, through the
+# zero-vector token "z", parallel mean vectors. Scores that tie only after
+# rounding must order as the per-event loop orders them.
+_NN_TOKENS = ["personx", "a", "b", "c", "d", "u", "v", "z"]
+_nn_text = st.lists(st.sampled_from(_NN_TOKENS), min_size=1, max_size=5)
+_NN_DIMS = [Dimension.xWant, Dimension.xIntent]
+
+
+class TestNearestNeighborMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(2, 40),
+        known=st.lists(st.sampled_from(_NN_TOKENS[:5]), unique=True),
+        zero_vector=st.booleans(),
+        events=st.lists(_nn_text, min_size=1, max_size=8),
+        rows=st.lists(st.tuples(st.integers(0, 7), st.sampled_from(_NN_DIMS),
+                                st.sampled_from(["t1", "t2", "T2", "t3 x", "none"])),
+                      max_size=14),
+        query=_nn_text,
+        upper=st.booleans(),
+        dimension=st.sampled_from(_NN_DIMS + [Dimension.oReact]),
+        k=st.integers(1, 6),
+    )
+    def test_equals_per_event_loop(self, seed, size, known, zero_vector, events, rows,
+                                   query, upper, dimension, k):
+        rng = np.random.default_rng(seed)
+        embeddings = {t: rng.standard_normal(size) for t in known}
+        if zero_vector:
+            embeddings["z"] = np.zeros(size)
+        graph = build_graph([
+            make_triple(" ".join(events[i % len(events)]), dim, target, "train")
+            for i, dim, target in rows
+        ])
+        text = " ".join(query).upper() if upper else " ".join(query)
+        expected = nearest_neighbor_reference(graph, embeddings, text, dimension, k)
+        assert_matches(nearest_neighbor_predict(graph, embeddings, text, dimension, k),
+                       expected)
 
 
 class TestSerialization:

@@ -150,6 +150,39 @@ class TestQuery:
         assert len(seen) == len(table1_graph.edges)
 
 
+class TestEventIndex:
+    def test_built_on_first_use_only(self, table1_graph):
+        assert "event_index" not in vars(table1_graph)
+        index = table1_graph.event_index
+        assert table1_graph.event_index is index
+        assert table1_graph == build_graph(table1_graph.to_triples())
+
+    def test_sorted_events_with_a_non_empty_target(self, table1_graph):
+        index = table1_graph.event_index
+        # "calls the police" has only the empty oReact annotation.
+        assert Dimension.oReact in index
+        assert index[Dimension.oReact].events == ("personx pays persony a compliment",)
+        assert index[Dimension.xIntent].events == (
+            "personx calls the police",
+            "personx makes persony's coffee",
+            "personx pays persony a compliment",
+        )
+        assert Dimension.xNeed in index and Dimension.xAttr in index
+
+    def test_token_ids_padded_past_distinct_tokens(self, table1_graph):
+        index = table1_graph.event_index[Dimension.xIntent]
+        assert len(set(index.tokens)) == len(index.tokens)
+        pad = len(index.tokens)
+        assert index.token_ids.shape == (3, 5)
+        for event, row in zip(index.events, index.token_ids.tolist()):
+            assert [index.tokens[i] for i in row if i != pad] == event.split()
+            assert row[len(event.split()):] == [pad] * (5 - len(event.split()))
+        assert not index.token_ids.flags.writeable
+
+    def test_empty_graph_has_no_dimensions(self):
+        assert build_graph([]).event_index == {}
+
+
 class TestStats:
     def test_empty(self):
         r = graph_stats(build_graph([]))
