@@ -48,35 +48,54 @@ class AtlasFormatError(ValueError):
         self.line_no = line_no
 
 
-def _triple_from_fields(line_no: int, fields: dict[str, str]) -> Triple:
-    try:
-        dimension = Dimension(fields["dimension"])
-    except ValueError:
-        raise AtlasFormatError(
-            line_no, f"unknown dimension name {fields['dimension']!r}"
-        ) from None
-    try:
-        split = Split(fields["split"])
-    except ValueError:
-        raise AtlasFormatError(
-            line_no, f"unknown split label {fields['split']!r}"
-        ) from None
-    try:
-        event = EventPhrase.from_text(fields["event"])
-        target = InferenceTarget.from_text(fields["target"])
-    except ValueError as exc:
-        raise AtlasFormatError(line_no, str(exc)) from None
+_DIMENSIONS = {d.value: d for d in Dimension}
+_SPLITS = {s.value: s for s in Split}
+
+
+def _triple_from_fields(
+    line_no: int,
+    fields: list[str],
+    events: dict[str, EventPhrase],
+    targets: dict[str, InferenceTarget],
+) -> Triple:
+    """One triple from ``fields`` in ``TSV_COLUMNS`` order.
+
+    ``events`` and ``targets`` hold the phrases already built by this
+    parse, keyed by raw text; a new text's phrase is added once it has
+    been built without error.
+    """
+    event_text, dim_name, target_text, split_label, worker_id = fields
+    dimension = _DIMENSIONS.get(dim_name)
+    if dimension is None:
+        raise AtlasFormatError(line_no, f"unknown dimension name {dim_name!r}")
+    split = _SPLITS.get(split_label)
+    if split is None:
+        raise AtlasFormatError(line_no, f"unknown split label {split_label!r}")
+    event = events.get(event_text)
+    target = targets.get(target_text)
+    if event is None or target is None:
+        try:
+            if event is None:
+                event = events[event_text] = EventPhrase.from_text(event_text)
+            if target is None:
+                target = targets[target_text] = InferenceTarget.from_text(target_text)
+        except ValueError as exc:
+            raise AtlasFormatError(line_no, str(exc)) from None
     return Triple(
         event=event,
         dimension=dimension,
         target=target,
-        worker_id=fields["worker_id"],
+        worker_id=worker_id,
         split=split,
     )
 
 
 def parse_atlas_tsv(stream: IO[str]) -> list[Triple]:
+    """Triples in file order; triples with equal event (or target) text
+    share one phrase object."""
     triples = []
+    events: dict[str, EventPhrase] = {}
+    targets: dict[str, InferenceTarget] = {}
     for line_no, line in enumerate(stream, start=1):
         line = line.rstrip("\n")
         if not line.strip() or line.startswith("#"):
@@ -86,12 +105,15 @@ def parse_atlas_tsv(stream: IO[str]) -> list[Triple]:
             raise AtlasFormatError(
                 line_no, f"expected {len(TSV_COLUMNS)} columns, got {len(cols)}"
             )
-        triples.append(_triple_from_fields(line_no, dict(zip(TSV_COLUMNS, cols))))
+        triples.append(_triple_from_fields(line_no, cols, events, targets))
     return triples
 
 
 def parse_atlas_jsonl(stream: IO[str]) -> list[Triple]:
+    """Like :func:`parse_atlas_tsv`, for JSON lines."""
     triples = []
+    events: dict[str, EventPhrase] = {}
+    targets: dict[str, InferenceTarget] = {}
     for line_no, line in enumerate(stream, start=1):
         if not line.strip() or line.startswith("#"):
             continue
@@ -105,9 +127,8 @@ def parse_atlas_jsonl(stream: IO[str]) -> list[Triple]:
         extra = [k for k in record if k not in TSV_COLUMNS]
         if extra:
             raise AtlasFormatError(line_no, f"unknown keys {extra}")
-        triples.append(
-            _triple_from_fields(line_no, {k: str(record[k]) for k in TSV_COLUMNS})
-        )
+        triples.append(_triple_from_fields(
+            line_no, [str(record[k]) for k in TSV_COLUMNS], events, targets))
     return triples
 
 

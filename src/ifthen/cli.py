@@ -11,11 +11,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable
 
 from ifthen import atlas_io, evaluation, generation
 from ifthen.atlas_io import AtlasFormatError, atomic_write, parse_atlas_file
 from ifthen.evaluation import EvalError
-from ifthen.graph import Split, Triple, build_graph, graph_stats, query_inferences
+from ifthen.graph import (
+    EventPhrase,
+    Split,
+    Triple,
+    build_graph,
+    graph_stats,
+    query_inferences,
+)
 from ifthen.ingest import (
     IngestError,
     blank_infrequent_args,
@@ -242,6 +250,21 @@ def _write_json(data, out_path: str | None) -> None:
     print(text)
 
 
+def _map_events(
+    triples: list[Triple], fn: Callable[[EventPhrase], EventPhrase]
+) -> list[Triple]:
+    """``triples`` with each event replaced by ``fn(event)``, called once per
+    distinct event text."""
+    done: dict[str, EventPhrase] = {}
+    out = []
+    for t in triples:
+        event = done.get(t.event.text)
+        if event is None:
+            event = done[t.event.text] = fn(t.event)
+        out.append(Triple(event, t.dimension, t.target, t.worker_id, t.split))
+    return out
+
+
 def _cmd_ingest(args) -> int:
     if args.blank_threshold is not None:
         if not args.freq_table:
@@ -252,19 +275,12 @@ def _cmd_ingest(args) -> int:
     if args.name_lexicon:
         with open(args.name_lexicon, encoding="utf-8") as fh:
             lexicon = load_name_lexicon(fh)
-        triples = [
-            Triple(normalize_event(t.event.text, lexicon), t.dimension, t.target,
-                   t.worker_id, t.split)
-            for t in triples
-        ]
+        triples = _map_events(triples, lambda ev: normalize_event(ev.text, lexicon))
     if args.freq_table:
         with open(args.freq_table, encoding="utf-8") as fh:
             freq = load_frequency_table(fh)
-        triples = [
-            Triple(blank_infrequent_args(t.event, freq, args.blank_threshold),
-                   t.dimension, t.target, t.worker_id, t.split)
-            for t in triples
-        ]
+        triples = _map_events(
+            triples, lambda ev: blank_infrequent_args(ev, freq, args.blank_threshold))
     with atomic_write(args.out) as fh:
         if args.out.endswith(".jsonl"):
             atlas_io.write_atlas_jsonl(triples, fh)

@@ -145,8 +145,11 @@ def nearest_neighbor_predict(
     """Retrieval baseline: targets of training events nearest in embedding space.
 
     Events are compared by cosine similarity of mean token embeddings;
-    ties and an unrepresentable query (no known tokens) fall back to
-    lexicographic event order.
+    ties fall back to lexicographic event order. Training events that
+    cannot be compared (no known token, or a zero mean vector) are left
+    out. An unrepresentable query (no known token, or a zero mean vector)
+    lists every event in lexicographic order with score 0.0, so every
+    score is finite.
 
     The graph's cached :attr:`AtlasGraph.event_index` supplies the events
     and their token ids; ``embeddings`` is read afresh on every call, so
@@ -162,8 +165,9 @@ def nearest_neighbor_predict(
         )
 
     known = [embeddings[t] for t in normalize_node_text(event).split() if t in embeddings]
-    if known:
-        sims = _cosine_to_events(index, embeddings, np.mean(known, axis=0))
+    query = np.mean(known, axis=0) if known else None
+    if query is not None and query @ query > 0:
+        sims = _cosine_to_events(index, embeddings, query)
         # Events are in text order, so a stable sort breaks ties by text.
         order = np.argsort(-sims, kind="stable").tolist()
         scores = sims.tolist()
@@ -175,6 +179,8 @@ def nearest_neighbor_predict(
     entries: list[tuple[tuple[str, ...], float]] = []
     seen: set[tuple[str, ...]] = set()
     for i in order:
+        if scores[i] == -math.inf:
+            break  # this event and all after it cannot be compared
         ev = index.events[i]
         for target in sorted(
             query_inferences(train_graph, ev, dimension), key=lambda t: t.text
@@ -199,9 +205,10 @@ def _cosine_to_events(
     """Cosine of ``query`` with every indexed event's mean token embedding.
 
     An event with no known tokens, or a zero vector on either side, scores
-    ``-inf``. Each score rounds as a per-event ``np.mean`` and ``np.dot``
-    would, row by row, so events with equal mean vectors get equal scores,
-    and events whose scores differ only by rounding keep their order.
+    ``-inf``, below every cosine. Each score rounds as a per-event
+    ``np.mean`` and ``np.dot`` would, row by row, so events with equal mean
+    vectors get equal scores, and events whose scores differ only by
+    rounding keep their order.
     """
     zero = np.zeros(query.size)
     # Unknown tokens and the padding (the last row) add zero and count 0.
@@ -222,7 +229,10 @@ def _cosine_to_events(
 
 
 def write_generations(generations: Iterable[GenerationList], stream: IO[str]) -> None:
-    """JSON-lines dump: one record per (event, dimension)."""
+    """JSON-lines dump: one record per (event, dimension).
+
+    Raises ``ValueError`` on a non-finite score, which JSON cannot hold.
+    """
     for gen in generations:
         stream.write(
             json.dumps(
@@ -237,18 +247,25 @@ def write_generations(generations: Iterable[GenerationList], stream: IO[str]) ->
                 },
                 ensure_ascii=False,
                 sort_keys=True,
+                allow_nan=False,
             )
             + "\n"
         )
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def read_generations(stream: IO[str]) -> list[GenerationList]:
+    """Parse a :func:`write_generations` dump; a malformed line, including
+    one holding ``NaN`` or ``Infinity``, raises ``ValueError`` naming it."""
     out = []
     for line_no, line in enumerate(stream, start=1):
         if not line.strip():
             continue
         try:
-            record = json.loads(line)
+            record = json.loads(line, parse_constant=_reject_constant)
             out.append(
                 GenerationList(
                     event=record["event"],

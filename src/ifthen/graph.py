@@ -33,6 +33,8 @@ def normalize_node_text(text: str) -> str:
 
 def person_variable_of(token: str) -> str | None:
     """The person variable a token mentions, honoring possessives ("PersonX's")."""
+    if not token.startswith("Person"):
+        return None
     for var in PERSON_VARIABLES:
         if token == var or token.startswith(var + "'"):
             return var
@@ -62,17 +64,14 @@ class EventPhrase:
         tokens = text.split()
         if not tokens:
             raise ValueError("event text must be non-empty")
-        slots = tuple(
-            var
-            for var in PERSON_VARIABLES
-            if any(person_variable_of(tok) == var for tok in tokens)
-        )
+        mentioned = {person_variable_of(tok) for tok in tokens}
+        slots = tuple(var for var in PERSON_VARIABLES if var in mentioned)
         if slots and "PersonX" not in slots:
             raise ValueError(
                 f"event mentions {slots} without PersonX: {text!r}"
             )
-        blanks = sum(1 for tok in tokens if tok == BLANK_TOKEN)
-        return cls(text=" ".join(tokens), person_slots=slots, blank_count=blanks)
+        return cls(text=" ".join(tokens), person_slots=slots,
+                   blank_count=tokens.count(BLANK_TOKEN))
 
     @property
     def tokens(self) -> list[str]:
@@ -210,66 +209,60 @@ def build_graph(triples: list[Triple]) -> AtlasGraph:
     Targets for o-dimensions on events without an explicit PersonY are
     legal (implied participants) and only produce a diagnostic; one
     warning per call gives their count and the first of them.
+    Each distinct text is normalized once per call.
     """
-    merged: dict[tuple[str, str, str], dict] = {}
+    dim_names = {d: d.value for d in Dimension}
+    norms: dict[str, str] = {}
+    merged: dict[tuple[str, str, str], tuple[Triple, set[str]]] = {}
     diagnostics: list[str] = []
     for t in triples:
-        key = (
-            normalize_node_text(t.event.text),
-            t.dimension.value,
-            normalize_node_text(t.target.text),
-        )
+        ev = norms.get(t.event.text)
+        if ev is None:
+            ev = norms[t.event.text] = normalize_node_text(t.event.text)
+        tgt = norms.get(t.target.text)
+        if tgt is None:
+            tgt = norms[t.target.text] = normalize_node_text(t.target.text)
+        dim = dim_names[t.dimension]
+        key = (ev, dim, tgt)
         slot = merged.get(key)
         if slot is None:
-            if t.dimension.value.startswith("o") and "PersonY" not in t.event.person_slots:
-                msg = (
-                    f"{t.dimension.value} annotation on event without explicit "
+            if dim[0] == "o" and "PersonY" not in t.event.person_slots:
+                diagnostics.append(
+                    f"{dim} annotation on event without explicit "
                     f"PersonY (implied participant): {t.event.text!r}"
                 )
-                diagnostics.append(msg)
-            merged[key] = {
-                "event": t.event,
-                "dimension": t.dimension,
-                "target": t.target,
-                "workers": {t.worker_id},
-                "split": t.split,
-            }
+            merged[key] = (t, {t.worker_id})
         else:
-            if slot["split"] is not t.split:
+            first, workers = slot
+            if first.split is not t.split:
                 raise ValueError(
                     f"conflicting splits for duplicate triple {key}: "
-                    f"{slot['split'].value} and {t.split.value}"
+                    f"{first.split.value} and {t.split.value}"
                 )
-            slot["workers"].add(t.worker_id)
+            workers.add(t.worker_id)
     if diagnostics:
         log.warning("%d implied-participant diagnostics; first: %s",
                     len(diagnostics), diagnostics[0])
 
-    edges = tuple(
-        Edge(
-            event=slot["event"],
-            dimension=slot["dimension"],
-            target=slot["target"],
-            worker_ids=tuple(sorted(slot["workers"])),
-            split=slot["split"],
-        )
-        for _, slot in sorted(merged.items())
-    )
-
+    # Keys sort by event first, so events_by_norm fills in text order.
+    edges: list[Edge] = []
     events_by_norm: dict[str, EventPhrase] = {}
     adjacency: dict[tuple[str, Dimension], list[Edge]] = {}
     nodes: set[str] = set()
-    for edge in edges:
-        ev_norm = normalize_node_text(edge.event.text)
-        events_by_norm.setdefault(ev_norm, edge.event)
-        adjacency.setdefault((ev_norm, edge.dimension), []).append(edge)
-        nodes.add(ev_norm)
-        if not edge.target.is_empty:
-            nodes.add(normalize_node_text(edge.target.text))
+    for key in sorted(merged):
+        ev, _, tgt = key
+        t, workers = merged[key]
+        edge = Edge(t.event, t.dimension, t.target, tuple(sorted(workers)), t.split)
+        edges.append(edge)
+        events_by_norm.setdefault(ev, t.event)
+        adjacency.setdefault((ev, t.dimension), []).append(edge)
+        nodes.add(ev)
+        if not t.target.is_empty:
+            nodes.add(tgt)
 
     return AtlasGraph(
-        events=tuple(events_by_norm[k] for k in sorted(events_by_norm)),
-        edges=edges,
+        events=tuple(events_by_norm.values()),
+        edges=tuple(edges),
         adjacency={k: tuple(v) for k, v in adjacency.items()},
         nodes=frozenset(nodes),
         diagnostics=tuple(diagnostics),

@@ -121,18 +121,27 @@ def triple_overlap(atlas: AtlasGraph, edges: set[ExternalEdge]) -> dict[Dimensio
     for edge in edges:
         by_relation.setdefault(edge.relation, set()).add((edge.start, edge.end))
 
+    concepts: dict[str, str] = {}
+
+    def concept(text: str) -> str:
+        out = concepts.get(text)
+        if out is None:
+            out = concepts[text] = normalize_concept(text)
+        return out
+
+    # Each dimension is in exactly one group, so each edge is visited once.
+    pairs: dict[Dimension, list[tuple[str, str]]] = {}
+    for e in atlas.edges:
+        if not e.target.is_empty:
+            pairs.setdefault(e.dimension, []).append(
+                (concept(e.event.text), concept(e.target.text)))
+
     result: dict[DimensionGroup, float] = {}
     for group, (dims, relations) in _GROUP_TABLE.items():
-        total = 0
-        matched = 0
-        for e in atlas.edges:
-            if e.dimension not in dims or e.target.is_empty:
-                continue
-            total += 1
-            pair = (normalize_concept(e.event.text), normalize_concept(e.target.text))
-            if any(pair in by_relation.get(rel, ()) for rel in relations):
-                matched += 1
-        result[group] = 100.0 * matched / total if total else 0.0
+        linked = set().union(*(by_relation.get(rel, ()) for rel in relations))
+        group_pairs = [p for dim in dims for p in pairs.get(dim, ())]
+        matched = sum(1 for p in group_pairs if p in linked)
+        result[group] = 100.0 * matched / len(group_pairs) if group_pairs else 0.0
     return result
 
 

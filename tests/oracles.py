@@ -156,6 +156,91 @@ def stats_oracle(triples):
     }
 
 
+def event_phrase_reference(text):
+    """The per-variable slot scan: one ``any`` over the tokens per person
+    variable, each token tested against every variable."""
+    from ifthen.graph import EventPhrase
+
+    variables = ("PersonX", "PersonY", "PersonZ")
+
+    def variable_of(token):
+        for var in variables:
+            if token == var or token.startswith(var + "'"):
+                return var
+        return None
+
+    tokens = text.split()
+    if not tokens:
+        raise ValueError("event text must be non-empty")
+    slots = tuple(
+        var for var in variables if any(variable_of(tok) == var for tok in tokens)
+    )
+    if slots and "PersonX" not in slots:
+        raise ValueError(f"event mentions {slots} without PersonX: {text!r}")
+    blanks = sum(1 for tok in tokens if tok == "___")
+    return EventPhrase(text=" ".join(tokens), person_slots=slots, blank_count=blanks)
+
+
+def build_graph_reference(triples):
+    """The normalize-per-triple build: every triple normalizes its event and
+    target, and the edge, adjacency and node passes normalize again.
+    Returns the graph, or raises the same ``ValueError`` on conflicting
+    splits; logs nothing."""
+    from ifthen.graph import AtlasGraph, Edge, normalize_node_text
+
+    merged = {}
+    diagnostics = []
+    for t in triples:
+        key = (
+            normalize_node_text(t.event.text),
+            t.dimension.value,
+            normalize_node_text(t.target.text),
+        )
+        slot = merged.get(key)
+        if slot is None:
+            if t.dimension.value.startswith("o") and "PersonY" not in t.event.person_slots:
+                diagnostics.append(
+                    f"{t.dimension.value} annotation on event without explicit "
+                    f"PersonY (implied participant): {t.event.text!r}"
+                )
+            merged[key] = {"triple": t, "workers": {t.worker_id}}
+        else:
+            if slot["triple"].split is not t.split:
+                raise ValueError(
+                    f"conflicting splits for duplicate triple {key}: "
+                    f"{slot['triple'].split.value} and {t.split.value}"
+                )
+            slot["workers"].add(t.worker_id)
+
+    edges = tuple(
+        Edge(
+            event=slot["triple"].event,
+            dimension=slot["triple"].dimension,
+            target=slot["triple"].target,
+            worker_ids=tuple(sorted(slot["workers"])),
+            split=slot["triple"].split,
+        )
+        for _, slot in sorted(merged.items(), key=lambda kv: kv[0])
+    )
+    events_by_norm = {}
+    adjacency = {}
+    nodes = set()
+    for edge in edges:
+        ev_norm = normalize_node_text(edge.event.text)
+        events_by_norm.setdefault(ev_norm, edge.event)
+        adjacency.setdefault((ev_norm, edge.dimension), []).append(edge)
+        nodes.add(ev_norm)
+        if not edge.target.is_empty:
+            nodes.add(normalize_node_text(edge.target.text))
+    return AtlasGraph(
+        events=tuple(events_by_norm[k] for k in sorted(events_by_norm)),
+        edges=edges,
+        adjacency={k: tuple(v) for k, v in adjacency.items()},
+        nodes=frozenset(nodes),
+        diagnostics=tuple(diagnostics),
+    )
+
+
 def blank_infrequent_args_reference(event, freq, threshold=None):
     """The sort-per-call blanking: every call ranks the whole table, rare
     spans longest first, and takes the first one that matches at each
@@ -216,7 +301,9 @@ def blank_infrequent_args_reference(event, freq, threshold=None):
 def nearest_neighbor_reference(train_graph, embeddings, event, dimension, k):
     """The per-event retrieval loop: every call walks the adjacency for the
     dimension's events, then takes one ``np.mean`` and one cosine with two
-    norms per event. Returns ``(tokens, score)`` entries, best first."""
+    norms per event. Events without a cosine (no known token, or a zero
+    mean vector) are skipped; a query without one lists every event with
+    score 0.0. Returns ``(tokens, score)`` entries, best first."""
 
     def normalize(text):
         return " ".join(text.lower().split())
@@ -231,17 +318,18 @@ def nearest_neighbor_reference(train_graph, embeddings, event, dimension, k):
         vecs = [embeddings[t] for t in text.split() if t in embeddings]
         return np.mean(vecs, axis=0) if vecs else None
 
-    def cosine(a, b):
-        na, nb = np.linalg.norm(a), np.linalg.norm(b)
-        if na == 0.0 or nb == 0.0:
-            return -math.inf
-        return float(np.dot(a, b) / (na * nb))
-
     query = mean_vector(normalize(event))
+    if query is not None and np.linalg.norm(query) == 0.0:
+        query = None
     scored = []
     for ev in sorted(targets):
+        if query is None:
+            scored.append((0.0, ev))
+            continue
         vec = mean_vector(ev)
-        sim = -math.inf if query is None or vec is None else cosine(query, vec)
+        if vec is None or np.linalg.norm(vec) == 0.0:
+            continue
+        sim = float(np.dot(query, vec) / (np.linalg.norm(query) * np.linalg.norm(vec)))
         scored.append((sim, ev))
     scored.sort(key=lambda sv: (-sv[0], sv[1]))
 
@@ -252,7 +340,7 @@ def nearest_neighbor_reference(train_graph, embeddings, event, dimension, k):
             tokens = tuple(normalize(text).split())
             if tokens not in seen:
                 seen.add(tokens)
-                entries.append((tokens, 0.0 if query is None else sim))
+                entries.append((tokens, sim))
     return entries[:k]
 
 

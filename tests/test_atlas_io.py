@@ -1,8 +1,12 @@
 import io
+import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_triple
+from oracles import event_phrase_reference
 
 from ifthen.atlas_io import (
     AtlasFormatError,
@@ -12,7 +16,8 @@ from ifthen.atlas_io import (
     write_atlas_jsonl,
     write_atlas_tsv,
 )
-from ifthen.graph import build_graph
+from ifthen.graph import InferenceTarget, Split, Triple, build_graph
+from ifthen.taxonomy import Dimension
 
 
 @pytest.fixture
@@ -110,3 +115,88 @@ def test_atomic_write_replaces_only_when_complete(tmp_path):
             raise OSError("disk full")
     assert path.read_text() == "first\n"
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+def _lines(rows, fmt):
+    if fmt == "tsv":
+        return "".join("\t".join(row) + "\n" for row in rows)
+    keys = ("event", "dimension", "target", "split", "worker_id")
+    return "".join(json.dumps(dict(zip(keys, row))) + "\n" for row in rows)
+
+
+def _parse(rows, fmt):
+    parse = parse_atlas_tsv if fmt == "tsv" else parse_atlas_jsonl
+    return parse(io.StringIO(_lines(rows, fmt)))
+
+
+def _reference_parse(rows):
+    """One triple per line, built from scratch, with the parser's messages."""
+    triples = []
+    for line_no, (event, dim, target, split, worker) in enumerate(rows, start=1):
+        if dim not in {d.value for d in Dimension}:
+            raise AtlasFormatError(line_no, f"unknown dimension name {dim!r}")
+        if split not in {s.value for s in Split}:
+            raise AtlasFormatError(line_no, f"unknown split label {split!r}")
+        try:
+            triples.append(Triple(event_phrase_reference(event), Dimension(dim),
+                                  InferenceTarget.from_text(target), worker, Split(split)))
+        except ValueError as exc:
+            raise AtlasFormatError(line_no, str(exc)) from None
+    return triples
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except AtlasFormatError as exc:
+        return exc.line_no, str(exc)
+
+
+_EVENTS = ["PersonX runs", "PersonX  runs", "PersonX's dog runs", "PersonX meets PersonY'",
+           "PersonX meets PersonY's cat", "PersonX calls Personal ___", "PersonW runs",
+           "PersonX hugs PersonZ", "PersonY runs", "PersonY's dog barks", " ", ""]
+_TARGETS = ["none", " none ", "to rest", "to  rest", "PersonX's nap", "___", " "]
+
+
+class TestParseMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pool=st.lists(
+            st.tuples(st.sampled_from(_EVENTS), st.sampled_from(["xWant", "oReact", "xFoo"]),
+                      st.sampled_from(_TARGETS), st.sampled_from(["train", "test", "val"]),
+                      st.sampled_from(["w1", "w2"])),
+            min_size=1, max_size=6),
+        picks=st.lists(st.integers(0, 5), max_size=20),
+        fmt=st.sampled_from(["tsv", "jsonl"]),
+    )
+    def test_equals_per_line_construction(self, pool, picks, fmt):
+        # Lines repeat rows of a small pool, so texts recur across lines.
+        rows = [pool[i % len(pool)] for i in picks]
+        got = _outcome(_parse, rows, fmt)
+        assert got == _outcome(_reference_parse, rows)
+        if isinstance(got, list):
+            shared = {}
+            for row, triple in zip(rows, got):
+                assert shared.setdefault(("event", row[0]), triple.event) is triple.event
+                assert shared.setdefault(("target", row[2]), triple.target) is triple.target
+
+
+_VALID = ("PersonX naps", "xReact", "calm", "train", "w1")
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "jsonl"])
+@pytest.mark.parametrize("bad, message", [
+    ({1: "xFoo"}, "unknown dimension name 'xFoo'"),
+    ({3: "validation"}, "unknown split label 'validation'"),
+    ({0: "PersonY naps"}, "event mentions ('PersonY',) without PersonX: 'PersonY naps'"),
+    ({0: "PersonY's cat naps"},
+     "event mentions ('PersonY',) without PersonX: \"PersonY's cat naps\""),
+    ({0: "  "}, "event text must be non-empty"),
+    ({2: " "}, "inference text must be non-empty or the 'none' sentinel"),
+], ids=["dimension", "split", "person-y", "person-y-possessive", "event", "target"])
+def test_error_after_repeated_valid_lines_names_its_line(fmt, bad, message):
+    bad_row = tuple(bad.get(i, field) for i, field in enumerate(_VALID))
+    with pytest.raises(AtlasFormatError) as exc:
+        _parse([_VALID, _VALID, _VALID, bad_row, _VALID], fmt)
+    assert exc.value.line_no == 4
+    assert str(exc.value) == f"line 4: {message}"

@@ -1,3 +1,4 @@
+import io
 import json
 import warnings
 
@@ -5,8 +6,9 @@ import pytest
 
 from conftest import poison_gradients
 
-from ifthen import generation
+from ifthen import atlas_io, generation
 from ifthen.cli import run
+from ifthen.graph import Triple
 from ifthen.seq2seq import ModelConfig
 
 ATLAS = """\
@@ -50,6 +52,50 @@ class TestDataCommands:
         assert len(out.read_text().splitlines()) == 9
         resolved = json.loads((tmp_path / "out.tsv.config.json").read_text())
         assert resolved["input"] == atlas and resolved["out"] == str(out)
+
+    def test_ingest_maps_each_distinct_event_once(self, tmp_path, monkeypatch):
+        from ifthen import cli, ingest
+
+        src = tmp_path / "raw.tsv"
+        src.write_text(
+            "Alice runs home\txWant\tto rest\ttrain\tw1\n"
+            "Alice runs home\txWant\tto rest\ttrain\tw2\n"
+            "Alice runs home\txIntent\tto get fit\ttrain\tw1\n"
+            "Bob meets Alice\toReact\tglad\ttrain\tw1\n"
+            "Bob  meets Alice\txWant\tto chat\ttrain\tw2\n"
+            "Alice runs home\toWant\tnone\ttest\tw3\n")
+        names = tmp_path / "names.txt"
+        names.write_text("alice\nbob\n")
+        freq = tmp_path / "freq.tsv"
+        freq.write_text("runs\thome\t1\tstories\nmeets\tPersonY\t9\tstories\n")
+        calls = {"normalize_event": [], "blank_infrequent_args": []}
+        for name in calls:
+            real = getattr(ingest, name)
+
+            def counted(event, *args, _real=real, _seen=calls[name]):
+                _seen.append(getattr(event, "text", event))
+                return _real(event, *args)
+
+            monkeypatch.setattr(cli, name, counted)
+        out = tmp_path / "clean.tsv"
+        assert run(["ingest", "--in", str(src), "--out", str(out), "--name-lexicon",
+                    str(names), "--freq-table", str(freq)]) == 0
+        # Keyed by the parsed text, in which "Bob  meets Alice" has one space.
+        assert calls["normalize_event"] == ["Alice runs home", "Bob meets Alice"]
+        assert calls["blank_infrequent_args"] == ["PersonX runs home", "PersonX meets PersonY"]
+
+        with open(names, encoding="utf-8") as fh:
+            lexicon = ingest.load_name_lexicon(fh)
+        with open(freq, encoding="utf-8") as fh:
+            table = ingest.load_frequency_table(fh)
+        expected = io.StringIO()
+        atlas_io.write_atlas_tsv([
+            Triple(ingest.blank_infrequent_args(
+                ingest.normalize_event(t.event.text, lexicon), table),
+                t.dimension, t.target, t.worker_id, t.split)
+            for t in atlas_io.parse_atlas_file(str(src))], expected)
+        assert out.read_text() == expected.getvalue()
+        assert "PersonX runs ___" in expected.getvalue()
 
     def test_stats_report(self, atlas, tmp_path, capsys):
         out = tmp_path / "stats.json"
@@ -136,6 +182,30 @@ class TestModelCommands:
         record = json.loads(gen.read_text().splitlines()[0])
         assert record["dimension"] == "xWant"
         assert record["entries"]
+
+    @pytest.mark.parametrize("rows, expected", [
+        # Only "personx" is known, as a zero vector: the query and every
+        # training event have a zero mean, so nothing has a cosine.
+        (["personx\t0 0"], [("to eat it", 0.0), ("to rest", 0.0), ("to shower", 0.0)]),
+        # "PersonX runs home" has a zero mean vector; "PersonX bakes bread" does not.
+        (["personx\t0 0", "walks\t1 0", "bakes\t0 1"], [("to eat it", 0.0)]),
+    ], ids=["zero-query", "zero-event"])
+    def test_nearest_neighbor_dump_is_strict_json(self, atlas, tmp_path, rows, expected):
+        emb = tmp_path / "emb.tsv"
+        emb.write_text("\n".join(rows) + "\n")
+        gen = tmp_path / "nn.jsonl"
+        assert run(["generate", "--nearest", "--embeddings", str(emb),
+                    "--atlas", atlas, "--split", "test", "--dims", "xWant",
+                    "--out", str(gen)]) == 0
+
+        def reject(name):
+            raise AssertionError(f"{name} in dump")
+
+        [line] = gen.read_text().splitlines()
+        record = json.loads(line, parse_constant=reject)
+        assert [(e["text"], e["score"]) for e in record["entries"]] == expected
+        assert run(["eval-bleu", "--gen", str(gen), "--atlas", atlas,
+                    "--out", str(tmp_path / "bleu.json")]) == 0
 
     def test_gradcheck(self, capsys):
         assert run(["gradcheck", "--variant", "event-invol", "--samples", "50"]) == 0
@@ -256,6 +326,20 @@ class TestExitCodes:
         assert err.startswith("data error: line 2: non-finite value")
         assert "Traceback" not in err
         assert not gen.exists()
+
+    @pytest.mark.parametrize("constant", ["-Infinity", "NaN"])
+    def test_eval_bleu_rejects_non_json_score(self, atlas, tmp_path, capsys, constant):
+        gen = tmp_path / "nn.jsonl"
+        gen.write_text(
+            '{"beam_width": 10, "dimension": "xWant", "entries": [{"score": '
+            + constant + ', "text": "to eat it"}], "event": "PersonX walks the dog"}\n')
+        out = tmp_path / "bleu.json"
+        assert run(["eval-bleu", "--gen", str(gen), "--atlas", atlas,
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: generation dump line 1: {constant} is not")
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_overflowing_training_fails_without_runtime_warnings(self, atlas, tmp_path, capsys):
         # A huge rate drives gate pre-activations past exp's range and a gold

@@ -309,6 +309,35 @@ class TestNearestNeighbor:
         assert result.texts == ["to rest", "to dream"]
         assert abs(result.entries[0][1] - expected) < 1e-12
 
+    def test_events_without_a_cosine_left_out(self):
+        # "sleeps" has a zero mean vector and "qq zz" no known token: neither
+        # can be compared with a representable query.
+        embeddings = {"walks": np.array([1.0, 0.0]), "runs": np.array([0.6, 0.8]),
+                      "sleeps": np.zeros(2)}
+        graph = build_graph([
+            make_triple("PersonX walks", "xWant", "to rest", "train"),
+            make_triple("PersonX sleeps", "xWant", "to dream", "train"),
+            make_triple("qq zz", "xWant", "to wake", "train"),
+            make_triple("PersonX runs", "xWant", "to win", "train"),
+        ])
+        result = nearest_neighbor_predict(graph, embeddings, "walks", Dimension.xWant, k=5)
+        assert result.texts == ["to rest", "to win"]
+        assert [s for _, s in result.entries] == [1.0, pytest.approx(0.6, abs=1e-12)]
+        assert_matches(result, nearest_neighbor_reference(
+            graph, embeddings, "walks", Dimension.xWant, 5))
+
+    def test_zero_query_lists_every_event_in_text_order(self):
+        embeddings = {"walks": np.array([1.0, 0.0]), "sleeps": np.zeros(2)}
+        graph = build_graph([
+            make_triple("PersonX walks", "xWant", "to rest", "train"),
+            make_triple("PersonX sleeps", "xWant", "to dream", "train"),
+        ])
+        result = nearest_neighbor_predict(graph, embeddings, "sleeps", Dimension.xWant, k=5)
+        assert result.texts == ["to dream", "to rest"]
+        assert all(s == 0.0 for _, s in result.entries)
+        assert_matches(result, nearest_neighbor_reference(
+            graph, embeddings, "sleeps", Dimension.xWant, 5))
+
     def test_embeddings_read_afresh_each_call(self):
         graph, embeddings = self.graph(), self.embeddings()
         for query in ("PersonX walks", "PersonX sleeps"):
@@ -378,3 +407,18 @@ class TestSerialization:
         write_generations(gens, buf)
         buf.seek(0)
         assert read_generations(buf) == gens
+
+    @pytest.mark.parametrize("score", [math.nan, math.inf, -math.inf])
+    def test_non_finite_score_not_written(self, score):
+        gen = GenerationList(event="PersonX runs", dimension=Dimension.xWant, beam_width=1,
+                             entries=((("to", "rest"), score),))
+        with pytest.raises(ValueError):
+            write_generations([gen], io.StringIO())
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_json_constant_rejected_with_line(self, constant):
+        good = ('{"beam_width": 1, "dimension": "xWant", "entries": '
+                '[{"score": -0.5, "text": "to rest"}], "event": "PersonX runs"}')
+        bad = good.replace("-0.5", constant)
+        with pytest.raises(ValueError, match=f"generation dump line 2: {constant} is not"):
+            read_generations(io.StringIO(good + "\n" + bad + "\n"))

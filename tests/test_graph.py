@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_triple
-from oracles import stats_oracle
+from oracles import build_graph_reference, event_phrase_reference, stats_oracle
 
 from ifthen.graph import (
     EventPhrase,
@@ -32,6 +34,28 @@ class TestEventPhrase:
     def test_person_y_without_x_rejected(self):
         with pytest.raises(ValueError):
             EventPhrase.from_text("PersonY runs away")
+
+
+# Person variables with possessives, near misses that are no variable, blanks.
+EVENT_TOKENS = ["PersonX", "PersonX's", "PersonY", "PersonY'", "PersonY's", "PersonZ",
+                "PersonZ's", "Personal", "PersonW", "Person", "PersonXs", "personx",
+                "___", "runs", "Runs", "home"]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+class TestEventPhraseMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(tokens=st.lists(st.sampled_from(EVENT_TOKENS), max_size=7),
+           sep=st.sampled_from([" ", "  ", "\t"]))
+    def test_equals_per_variable_scan(self, tokens, sep):
+        text = sep.join(tokens)
+        assert _outcome(EventPhrase.from_text, text) == _outcome(event_phrase_reference, text)
 
 
 class TestInferenceTarget:
@@ -106,6 +130,8 @@ class TestBuildGraph:
         message = caplog.records[0].getMessage()
         assert message.startswith("3 ")
         assert "'PersonX calls for help'" in message
+        expected = build_graph_reference(triples).diagnostics
+        assert message == f"3 implied-participant diagnostics; first: {expected[0]}"
 
     def test_deterministic_order(self):
         triples = [
@@ -118,6 +144,40 @@ class TestBuildGraph:
         assert [
             (e.event.text, e.dimension, e.target.text) for e in g1.edges
         ] == [(e.event.text, e.dimension, e.target.text) for e in g2.edges]
+
+
+# Case and spacing variants that normalize to one node, "NONE" as a
+# non-empty target that normalizes like the sentinel, and o-dimension rows
+# with and without PersonY.
+GRAPH_EVENTS = ["PersonX runs", "personx  RUNS", "PersonX runs home", "PersonX meets PersonY",
+                "PersonX meets  PersonY", "PersonX meets personY", "PersonX's dog barks"]
+GRAPH_TARGETS = ["to rest", "To  rest", "none", "NONE", "PersonY smiles", "tired"]
+
+
+class TestBuildGraphMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(st.sampled_from(GRAPH_EVENTS), st.sampled_from(list(Dimension)),
+                      st.sampled_from(GRAPH_TARGETS), st.sampled_from(["w1", "w2", "w3"]),
+                      st.sampled_from(list(Split))),
+            max_size=30),
+        one_split=st.booleans(),
+    )
+    def test_equals_normalize_per_triple_build(self, rows, one_split):
+        triples = [make_triple(ev, dim, tgt, worker, Split.Train if one_split else split)
+                   for ev, dim, tgt, worker, split in rows]
+        got = _outcome(build_graph, triples)
+        expected = _outcome(build_graph_reference, triples)
+        if isinstance(expected, tuple):
+            assert got == expected
+            return
+        assert got.events == expected.events
+        assert got.edges == expected.edges
+        assert got.adjacency == expected.adjacency
+        assert list(got.adjacency) == list(expected.adjacency)
+        assert got.nodes == expected.nodes
+        assert got.diagnostics == expected.diagnostics
 
 
 class TestQuery:

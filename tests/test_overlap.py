@@ -130,6 +130,31 @@ class TestTripleOverlap:
             expected = overlap_oracle(graph, edges, normalize_concept, dims, rels)
             assert result[group] == pytest.approx(expected, abs=1e-9)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(st.sampled_from(["PersonX runs", "PersonX  Runs", "PersonX eats the food",
+                                       "PersonX meets PersonY's dog", "PersonX runs the race"]),
+                      st.sampled_from(list(Dimension)),
+                      st.sampled_from(["to rest", "To rest", "the rest", "rest", "PersonY rests",
+                                       "food", "none"])),
+            max_size=30),
+        edges=st.sets(st.builds(
+            ExternalEdge,
+            st.sampled_from(["MotivatedByGoal", "Causes", "HasProperty", "HasPrerequisite",
+                             "RelatedTo"]),
+            st.sampled_from(["runs", "eats the food", "meets dog", "runs the race"]),
+            st.sampled_from(["rest", "food", "rests"])), max_size=12),
+    )
+    def test_matches_brute_force_oracle_on_shared_texts(self, rows, edges):
+        # Events recur across dimensions and targets across events, and texts
+        # that differ normalize to one concept.
+        graph = build_graph([make_triple(ev, dim.value, tgt, worker=f"w{i}")
+                             for i, (ev, dim, tgt) in enumerate(rows)])
+        result = triple_overlap(graph, edges)
+        for group, (dims, rels) in dimension_relation_map().items():
+            assert result[group] == overlap_oracle(graph, edges, normalize_concept, dims, rels)
+
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 1000), extra=st.integers(0, 5))
     def test_monotone_in_edges(self, seed, extra):
