@@ -257,15 +257,24 @@ def _reject_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
+def _finite_float(text: str) -> float:
+    # An overflowing literal such as -1e999 parses to an infinity.
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
 def read_generations(stream: IO[str]) -> list[GenerationList]:
     """Parse a :func:`write_generations` dump; a malformed line, including
-    one holding ``NaN`` or ``Infinity``, raises ``ValueError`` naming it."""
+    one holding a non-finite score, raises ``ValueError`` naming it."""
     out = []
     for line_no, line in enumerate(stream, start=1):
         if not line.strip():
             continue
         try:
-            record = json.loads(line, parse_constant=_reject_constant)
+            record = json.loads(line, parse_constant=_reject_constant,
+                                parse_float=_finite_float)
             out.append(
                 GenerationList(
                     event=record["event"],

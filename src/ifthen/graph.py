@@ -17,7 +17,7 @@ from statistics import fmean
 
 import numpy as np
 
-from ifthen.taxonomy import ContentType, Dimension, classify_dimension
+from ifthen.taxonomy import ContentType, Dimension, Subject, classify_dimension
 
 log = logging.getLogger(__name__)
 
@@ -206,12 +206,13 @@ def build_graph(triples: list[Triple]) -> AtlasGraph:
     normalization) are collapsed, keeping every worker id as provenance;
     duplicates assigned to different splits raise ``ValueError``, since
     keeping either split would leak the triple across the split boundary.
-    Targets for o-dimensions on events without an explicit PersonY are
+    Targets for theme dimensions on events without an explicit PersonY are
     legal (implied participants) and only produce a diagnostic; one
     warning per call gives their count and the first of them.
     Each distinct text is normalized once per call.
     """
-    dim_names = {d: d.value for d in Dimension}
+    # Each dimension's name, and whether it describes the event's theme.
+    dim_table = {d: (d.value, classify_dimension(d).subject is Subject.Theme) for d in Dimension}
     norms: dict[str, str] = {}
     merged: dict[tuple[str, str, str], tuple[Triple, set[str]]] = {}
     diagnostics: list[str] = []
@@ -222,11 +223,11 @@ def build_graph(triples: list[Triple]) -> AtlasGraph:
         tgt = norms.get(t.target.text)
         if tgt is None:
             tgt = norms[t.target.text] = normalize_node_text(t.target.text)
-        dim = dim_names[t.dimension]
+        dim, theme = dim_table[t.dimension]
         key = (ev, dim, tgt)
         slot = merged.get(key)
         if slot is None:
-            if dim[0] == "o" and "PersonY" not in t.event.person_slots:
+            if theme and "PersonY" not in t.event.person_slots:
                 diagnostics.append(
                     f"{dim} annotation on event without explicit "
                     f"PersonY (implied participant): {t.event.text!r}"
@@ -290,22 +291,29 @@ def graph_stats(graph: AtlasGraph) -> StatsReport:
     """Exact counts over the deduplicated graph.
 
     Target nodes are attributed to the content type of the dimension they
-    appear under; empty annotations are excluded from node counts.
+    appear under; empty annotations are excluded from node counts. Event
+    nodes are the adjacency keys; each distinct target text is normalized
+    once per call.
     """
+    content_types = {d: classify_dimension(d).content_type for d in Dimension}
     triples_by_ct = {ct: 0 for ct in ContentType}
     nodes_by_ct: dict[ContentType, set[str]] = {ct: set() for ct in ContentType}
     appearances: dict[str, int] = {}
-    for edge in graph.edges:
-        ct = classify_dimension(edge.dimension).content_type
-        triples_by_ct[ct] += 1
-        ev_norm = normalize_node_text(edge.event.text)
-        appearances[ev_norm] = appearances.get(ev_norm, 0) + 1
-        if not edge.target.is_empty:
-            tgt_norm = normalize_node_text(edge.target.text)
+    norms: dict[str, str] = {}
+    for (ev_norm, dim), edges in graph.adjacency.items():
+        ct = content_types[dim]
+        triples_by_ct[ct] += len(edges)
+        appearances[ev_norm] = appearances.get(ev_norm, 0) + len(edges)
+        for edge in edges:
+            if edge.target.is_empty:
+                continue
+            tgt_norm = norms.get(edge.target.text)
+            if tgt_norm is None:
+                tgt_norm = norms[edge.target.text] = normalize_node_text(edge.target.text)
             nodes_by_ct[ct].add(tgt_norm)
             appearances[tgt_norm] = appearances.get(tgt_norm, 0) + 1
 
-    base_events = [normalize_node_text(e.text) for e in graph.events]
+    base_events = {ev_norm for ev_norm, _ in graph.adjacency}
     avg_words = {
         ct: (fmean(len(n.split()) for n in nodes) if nodes else 0.0)
         for ct, nodes in nodes_by_ct.items()

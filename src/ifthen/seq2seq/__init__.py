@@ -1,10 +1,9 @@
 """Trainable encoder-decoder stack with shared encoders per dimension family."""
 
 from ifthen.seq2seq.checkpoint import load_checkpoint, save_checkpoint
-from ifthen.seq2seq.config import ModelConfig, ModelVariant
+from ifthen.seq2seq.config import ModelConfig, ModelVariant, encoder_grouping
 from ifthen.seq2seq.embeddings import load_embedding_file
 from ifthen.seq2seq.gradcheck import gradient_check
-from ifthen.seq2seq.grouping import encoder_grouping
 from ifthen.seq2seq.model import (
     ModelParams,
     TrainingInstance,

@@ -6,6 +6,8 @@ import math
 from dataclasses import asdict, dataclass
 from enum import Enum
 
+from ifthen.taxonomy import CausalCategory, Dimension, Subject, Volition, classify_dimension
+
 
 class ModelVariant(str, Enum):
     """Encoder-sharing configurations."""
@@ -14,6 +16,31 @@ class ModelVariant(str, Enum):
     EventInvolEvent = "event-invol"
     EventPersonXY = "event-personxy"
     EventPrePost = "event-prepost"
+
+
+# The taxonomy axis each shared variant splits the dimensions on, and the
+# encoder id of each axis value. Checkpoints name tensors by these ids; a
+# value without an id (the stative xAttr under event-prepost) is not modeled.
+_SHARED_ENCODERS = {
+    ModelVariant.EventInvolEvent: (
+        "volition", {Volition.Voluntary: "voluntary", Volition.Involuntary: "involuntary"}),
+    ModelVariant.EventPersonXY: ("subject", {Subject.Agent: "agent", Subject.Theme: "theme"}),
+    ModelVariant.EventPrePost: (
+        "causal_category", {CausalCategory.Cause: "pre", CausalCategory.Effect: "post"}),
+}
+
+
+def encoder_grouping(variant: ModelVariant) -> dict[Dimension, str]:
+    """Map each in-scope dimension to its encoder id.
+
+    The single-task setup trains one encoder per dimension; the multitask
+    setups share one encoder per value of a taxonomy axis.
+    """
+    if variant is ModelVariant.Single9:
+        return {d: f"enc:{d.value}" for d in Dimension}
+    axis, ids = _SHARED_ENCODERS[variant]
+    values = {d: getattr(classify_dimension(d), axis) for d in Dimension}
+    return {d: ids[v] for d, v in values.items() if v in ids}
 
 
 @dataclass(frozen=True)

@@ -35,8 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ifthen.graph import Triple
-from ifthen.seq2seq.config import ModelConfig
-from ifthen.seq2seq.grouping import encoder_grouping
+from ifthen.seq2seq.config import ModelConfig, encoder_grouping
 from ifthen.seq2seq.vocab import VocabularyMap
 from ifthen.taxonomy import Dimension
 
@@ -189,6 +188,13 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return logits
 
 
+def _output(params: ModelParams, prefix: str, states: np.ndarray) -> np.ndarray:
+    """A decoder's next-token distribution for each row of ``states``."""
+    logits = states @ params.arrays[f"{prefix}/W_o"].T
+    logits += params.arrays[f"{prefix}/b_o"]
+    return _softmax(logits)
+
+
 def gru_step(cell: GRUCell, gx: np.ndarray, h_prev: np.ndarray):
     """One gated-recurrent step for a batch of rows (or a single vector).
 
@@ -303,7 +309,8 @@ class _Recurrence:
 
 
 class _Encoder:
-    """Bidirectional encoding of a group of events sharing one encoder."""
+    """Bidirectional encoding of a group of events sharing one encoder,
+    bridged to each event's initial decoder state ``s0``."""
 
     def __init__(self, params: ModelParams, encoder_id: str, events):
         if any(len(e) == 0 for e in events):
@@ -317,10 +324,16 @@ class _Encoder:
         # Final forward and backward states, concatenated, in input order.
         self.h = b.unsort(np.concatenate((self.fwd.states[b.last], self.bwd.states[b.last]),
                                          axis=1))
+        self.bridge = f"bridge/{encoder_id}"
+        self.w_b = params.arrays[f"{self.bridge}/W"]
+        self.s0 = self.h @ self.w_b.T + params.arrays[f"{self.bridge}/b"]
 
-    def backward(self, dh: np.ndarray, grads) -> None:
+    def backward(self, ds0: np.ndarray, grads) -> None:
+        """Accumulate the gradients reaching ``s0``, in input order, into ``grads``."""
         b = self.batch
-        dh = dh[b.order]
+        grads[f"{self.bridge}/W"] += ds0.T @ self.h
+        grads[f"{self.bridge}/b"] += ds0.sum(axis=0)
+        dh = (ds0 @ self.w_b)[b.order]
         half = dh.shape[1] // 2
         for rnn, d_final in ((self.fwd, dh[:, :half]), (self.bwd, dh[:, half:])):
             dstates = np.zeros_like(rnn.states)
@@ -338,11 +351,8 @@ class _Decoder:
         self.golds = b.pack([(*t, eos) for t in targets])
         prefix = f"decoder/{dimension.value}"
         self.w_o = params.arrays[f"{prefix}/W_o"]
-        self.b_o = params.arrays[f"{prefix}/b_o"]
         self.rnn = _Recurrence(params, prefix, b.pack(inputs), b.offsets, s0[b.order])
-        logits = self.rnn.states @ self.w_o.T
-        logits += self.b_o
-        self.probs = _softmax(logits)
+        self.probs = _output(params, prefix, self.rnn.states)
         # A gold probability that underflowed to 0 gives an infinite loss,
         # which train() reports as a NumericError.
         with np.errstate(divide="ignore"):
@@ -371,14 +381,10 @@ def _encoder_of(params: ModelParams, dimension) -> tuple[Dimension, str]:
     return dimension, params.grouping[dimension]
 
 
-def _bridge(params: ModelParams, encoder_id: str):
-    return params.arrays[f"bridge/{encoder_id}/W"], params.arrays[f"bridge/{encoder_id}/b"]
-
-
 def _encode_batch(params: ModelParams, batch: list[TrainingInstance]):
     """The forward step shared by scoring and training.
 
-    Groups the batch by dimension and by encoder and runs each encoder and
+    Groups the batch by dimension and by encoder and runs each encoder with
     its bridge. Returns the rows of each dimension, each encoder with its
     rows, and every row's initial decoder state.
     """
@@ -394,8 +400,7 @@ def _encode_batch(params: ModelParams, batch: list[TrainingInstance]):
     for eid, rows in by_encoder.items():
         enc = _Encoder(params, eid, [batch[k].event_ids for k in rows])
         encoders[eid] = rows, enc
-        w_b, b_b = _bridge(params, eid)
-        s0[rows] = enc.h @ w_b.T + b_b
+        s0[rows] = enc.s0
     return by_dim, encoders, s0
 
 
@@ -430,12 +435,8 @@ def batch_loss_and_grads(
         losses[rows] = dec.losses
         ds0[rows] = dec.backward(grads, 1.0 / (len(by_dim) * len(rows)))
 
-    for eid, (rows, enc) in encoders.items():
-        ds = ds0[rows]
-        w_b, _ = _bridge(params, eid)
-        grads[f"bridge/{eid}/W"] += ds.T @ enc.h
-        grads[f"bridge/{eid}/b"] += ds.sum(axis=0)
-        enc.backward(ds @ w_b, grads)
+    for rows, enc in encoders.values():
+        enc.backward(ds0[rows], grads)
     return losses
 
 
@@ -449,8 +450,7 @@ def initial_decoder_state(
 ) -> np.ndarray:
     """Encode the event with the dimension's encoder and bridge to h_dec."""
     _, eid = _encoder_of(params, dimension)
-    w_b, b_b = _bridge(params, eid)
-    return w_b @ encode(params, eid, event_ids) + b_b
+    return _Encoder(params, eid, [event_ids]).s0[0]
 
 
 def decode_step(
@@ -463,15 +463,16 @@ def decode_step(
 
     Takes one state ``(H,)`` and one previous id, giving ``(V,)`` and
     ``(H,)``, or a batch of states ``(B, H)`` and ``(B,)`` ids, giving
-    ``(B, V)`` and ``(B, H)``: row i is that row's own step.
+    ``(B, V)`` and ``(B, H)``: row i is that row's own step. The step is
+    one time step of the training engine's decoder recurrence.
     """
     prefix = f"decoder/{Dimension(dimension).value}"
-    cell = params.cell(prefix)
-    gx = params.arrays["embedding"][prev_token_id] @ cell.W.T + cell.b
-    new_h, _ = gru_step(cell, gx, hidden_state)
-    logits = new_h @ params.arrays[f"{prefix}/W_o"].T
-    logits += params.arrays[f"{prefix}/b_o"]
-    return _softmax(logits), new_h
+    ids = np.atleast_1d(prev_token_id)
+    rnn = _Recurrence(params, prefix, ids, [0, len(ids)], np.atleast_2d(hidden_state))
+    probs = _output(params, prefix, rnn.states)
+    if np.ndim(hidden_state) == 1:
+        return probs[0], rnn.states[0]
+    return probs, rnn.states
 
 
 def sequence_loss(params: ModelParams, instance: TrainingInstance) -> float:

@@ -152,6 +152,10 @@ def stats_oracle(triples):
         "nodes_total": len(all_nodes),
         "nodes_by_content_type": {ct: len(s) for ct, s in node_sets.items()},
         "base_event_count": len(events),
+        "base_event_avg_words": sum(len(e.split()) for e in events) / len(events),
+        "avg_words_per_node": {
+            ct: sum(len(n.split()) for n in s) / len(s) for ct, s in node_sets.items()
+        },
         "nodes_appearing_multiple": sum(1 for c in position_counts.values() if c > 1),
     }
 

@@ -327,7 +327,7 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not gen.exists()
 
-    @pytest.mark.parametrize("constant", ["-Infinity", "NaN"])
+    @pytest.mark.parametrize("constant", ["-Infinity", "NaN", "-1e999", "1e999"])
     def test_eval_bleu_rejects_non_json_score(self, atlas, tmp_path, capsys, constant):
         gen = tmp_path / "nn.jsonl"
         gen.write_text(

@@ -415,7 +415,7 @@ class TestSerialization:
         with pytest.raises(ValueError):
             write_generations([gen], io.StringIO())
 
-    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity", "-1e999", "1e999"])
     def test_non_json_constant_rejected_with_line(self, constant):
         good = ('{"beam_width": 1, "dimension": "xWant", "entries": '
                 '[{"score": -0.5, "text": "to rest"}], "event": "PersonX runs"}')

@@ -273,9 +273,12 @@ class TestStats:
         dims = list(Dimension)
         triples = []
         for _ in range(1000):
-            ev = f"PersonX does thing {rng.integers(40)}"
+            # Texts that differ only in case are one node; some targets are
+            # also event texts.
+            ev = f"PersonX {rng.choice(['does', 'Does', 'DOES'])} thing {rng.integers(40)}"
             dim = dims[rng.integers(9)]
-            tgt = "none" if rng.random() < 0.1 else f"outcome {rng.integers(60)}"
+            tgt = rng.choice(["none", f"{rng.choice(['outcome', 'Outcome'])} {rng.integers(60)}",
+                              f"personx does thing {rng.integers(40)}"], p=[0.1, 0.8, 0.1])
             triples.append(make_triple(ev, dim, tgt, worker=f"w{rng.integers(3)}"))
         r = graph_stats(build_graph(triples))
         expected = stats_oracle(triples)
@@ -283,7 +286,9 @@ class TestStats:
         assert r.nodes_total == expected["nodes_total"]
         assert r.base_event_count == expected["base_event_count"]
         assert r.nodes_appearing_multiple == expected["nodes_appearing_multiple"]
+        assert r.base_event_avg_words == expected["base_event_avg_words"]
         for ct in ContentType:
+            assert r.avg_words_per_node[ct] == expected["avg_words_per_node"].get(ct, 0.0)
             assert r.triples_by_content_type[ct] == expected["triples_by_content_type"].get(ct, 0)
             assert r.nodes_by_content_type[ct] == expected["nodes_by_content_type"].get(ct, 0)
 

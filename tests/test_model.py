@@ -16,7 +16,7 @@ from ifthen.seq2seq.model import (
     initial_decoder_state,
     sequence_loss,
 )
-from ifthen.taxonomy import Dimension
+from ifthen.taxonomy import CausalCategory, Dimension, Subject, Volition, classify_dimension
 
 
 def zeroed(params):
@@ -53,17 +53,23 @@ class TestEncoderGrouping:
         assert len(g) == 8 and len(set(g.values())) == 2
         assert g[Dimension.xNeed] == g[Dimension.xIntent] == "pre"
 
-    def test_volition_consistent_with_taxonomy(self):
-        from ifthen.taxonomy import Volition, classify_dimension
-
-        g = encoder_grouping(ModelVariant.EventInvolEvent)
-        for dim, eid in g.items():
-            expected = (
-                "voluntary"
-                if classify_dimension(dim).volition is Volition.Voluntary
-                else "involuntary"
-            )
-            assert eid == expected
+    @pytest.mark.parametrize(
+        "variant,axis,ids",
+        [
+            (ModelVariant.EventInvolEvent, lambda c: c.volition,
+             {Volition.Voluntary: "voluntary", Volition.Involuntary: "involuntary"}),
+            (ModelVariant.EventPersonXY, lambda c: c.subject,
+             {Subject.Agent: "agent", Subject.Theme: "theme"}),
+            # The stative xAttr has no encoder.
+            (ModelVariant.EventPrePost, lambda c: c.causal_category,
+             {CausalCategory.Cause: "pre", CausalCategory.Effect: "post",
+              CausalCategory.Stative: None}),
+        ],
+        ids=["event-invol", "event-personxy", "event-prepost"],
+    )
+    def test_volition_consistent_with_taxonomy(self, variant, axis, ids):
+        expected = {d: ids[axis(classify_dimension(d))] for d in Dimension}
+        assert encoder_grouping(variant) == {d: e for d, e in expected.items() if e is not None}
 
 
 class TestTopology:
