@@ -414,29 +414,30 @@ def _cmd_generate(args) -> int:
             embeddings = load_embedding_file(fh)
         train_graph = build_graph([t for t in triples if t.split is Split.Train])
         dims = _dims(args.dims, list(Dimension))
-        results = [
+        results = (
             generation.nearest_neighbor_predict(
                 train_graph, embeddings, ev, dim, k=args.beam_width
             )
             for ev in events
             for dim in dims
-        ]
+        )
     else:
         if not args.ckpt:
             raise UsageError("--ckpt is required unless --nearest is used")
         params = load_checkpoint(args.ckpt)
         dims = _dims(args.dims, params.decoder_dims)
-        results = [
+        results = (
             generation.beam_search(
                 params, ev, dim, beam_width=args.beam_width,
                 max_len=args.max_len, suppress_unk=args.suppress_unk,
             )
             for ev in events
             for dim in dims
-        ]
+        )
+    # Lists are written as they are made, so none is held beyond its line.
     with atomic_write(args.out) as fh:
-        generation.write_generations(results, fh)
-    print(f"wrote {len(results)} generation lists to {args.out}")
+        written = generation.write_generations(results, fh)
+    print(f"wrote {written} generation lists to {args.out}")
     return EXIT_OK
 
 

@@ -11,6 +11,17 @@ candidates as one array. Every ``<eos>`` candidate enters the pool of
 finished hypotheses; of the rest, a partition finds the ``beam_width``-th
 best score and only the candidates scoring at least that are sorted by
 (-score, token ids), so the selection is exact, ties included.
+
+The search stops before the length cap once the pool holds ``beam_width``
+finished hypotheses and every alive score is strictly below the pool's
+worst. The stop is exact: a step adds ``log(max(p, 1e-300))`` with
+``p = e / s`` from the softmax, where ``s`` is a sum of non-negative terms
+that include ``e``, so every increment is at most 0 in floating point and
+no alive score, nor any hypothesis grown from it, can rise into the pool's
+top ``beam_width``. A tie with the pool's worst keeps the search running,
+because ties break on token ids. Under ``suppress_unk`` the renormalized
+increment ``log(p) - log(1 - p_unk)`` can be positive, so that search runs
+to the cap.
 """
 
 from __future__ import annotations
@@ -63,6 +74,11 @@ def beam_search(
 
     With ``suppress_unk`` the ``<unk>`` token is never emitted and the
     remaining probability mass is renormalized.
+
+    Without ``suppress_unk`` the search ends before ``max_len`` steps once
+    ``beam_width`` hypotheses have finished and every alive score is
+    strictly below the worst of them; increments are never positive, so
+    the result equals the search run to the cap.
     """
     if beam_width < 1:
         raise ValueError("beam_width must be >= 1")
@@ -85,6 +101,10 @@ def beam_search(
     pool: dict[tuple[int, ...], float] = {}
 
     for _ in range(max_len):
+        # Scores never rise (see the module docstring), so the pool is final.
+        if (not suppress_unk and len(pool) == beam_width
+                and scores.max() < min(pool.values())):
+            break
         probs, states = decode_step(params, dimension, states, last)
         cand = np.log(np.maximum(probs, 1e-300))
         if suppress_unk:
@@ -228,12 +248,14 @@ def _cosine_to_events(
     return sims
 
 
-def write_generations(generations: Iterable[GenerationList], stream: IO[str]) -> None:
-    """JSON-lines dump: one record per (event, dimension).
+def write_generations(generations: Iterable[GenerationList], stream: IO[str]) -> int:
+    """JSON-lines dump: one record per (event, dimension), written as each
+    list arrives; returns the number of lists written.
 
     Raises ``ValueError`` on a non-finite score, which JSON cannot hold.
     """
-    for gen in generations:
+    count = 0
+    for count, gen in enumerate(generations, start=1):
         stream.write(
             json.dumps(
                 {
@@ -251,6 +273,7 @@ def write_generations(generations: Iterable[GenerationList], stream: IO[str]) ->
             )
             + "\n"
         )
+    return count
 
 
 def _reject_constant(name: str):
@@ -265,25 +288,51 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _typed(value, kind: type | tuple[type, ...], name: str):
+    # bool is an int subclass, but JSON true/false is no number.
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{json.dumps(value)} is not {name}")
+    return value
+
+
+def _score(value) -> float:
+    # Floats are finite already (_finite_float); an int literal may overflow.
+    try:
+        return float(_typed(value, (int, float), "a number"))
+    except OverflowError:
+        raise ValueError(f"{value} is not a finite number") from None
+
+
 def read_generations(stream: IO[str]) -> list[GenerationList]:
     """Parse a :func:`write_generations` dump; a malformed line, including
-    one holding a non-finite score, raises ``ValueError`` naming it."""
+    one holding a non-finite score or a field of the wrong type, raises
+    ``ValueError`` naming it.
+
+    Entries with the same text share one token tuple.
+    """
     out = []
+    token_tuples: dict[str, tuple[str, ...]] = {}
     for line_no, line in enumerate(stream, start=1):
         if not line.strip():
             continue
         try:
-            record = json.loads(line, parse_constant=_reject_constant,
-                                parse_float=_finite_float)
+            record = _typed(
+                json.loads(line, parse_constant=_reject_constant,
+                           parse_float=_finite_float),
+                dict, "an object")
+            entries = []
+            for e in _typed(record["entries"], list, "a list"):
+                text = _typed(_typed(e, dict, "an object")["text"], str, "a string")
+                tokens = token_tuples.get(text)
+                if tokens is None:
+                    tokens = token_tuples[text] = tuple(text.split())
+                entries.append((tokens, _score(e["score"])))
             out.append(
                 GenerationList(
-                    event=record["event"],
+                    event=_typed(record["event"], str, "a string"),
                     dimension=Dimension(record["dimension"]),
-                    beam_width=record["beam_width"],
-                    entries=tuple(
-                        (tuple(e["text"].split()), float(e["score"]))
-                        for e in record["entries"]
-                    ),
+                    beam_width=_typed(record["beam_width"], int, "an integer"),
+                    entries=tuple(entries),
                 )
             )
         except (json.JSONDecodeError, KeyError, ValueError) as exc:

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import warnings
 
@@ -149,6 +150,7 @@ class TestModelCommands:
                     "--out", str(gen)]) == 0
         lines = gen.read_text().splitlines()
         assert len(lines) == 9  # one test event x nine dimensions
+        assert f"wrote 9 generation lists to {gen}\n" in capsys.readouterr().out
 
         report = tmp_path / "bleu.json"
         assert run(["eval-bleu", "--gen", str(gen), "--atlas", atlas,
@@ -327,12 +329,19 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not gen.exists()
 
-    @pytest.mark.parametrize("constant", ["-Infinity", "NaN", "-1e999", "1e999"])
-    def test_eval_bleu_rejects_non_json_score(self, atlas, tmp_path, capsys, constant):
+    @pytest.mark.parametrize("field, constant", [
+        pytest.param("-0.5", value, id=value)
+        for value in ["-Infinity", "NaN", "-1e999", "1e999", "null", "-1" + "0" * 400, "true"]
+    ] + [
+        pytest.param('"to eat it"', "5", id="text-5"),
+        pytest.param('[{"score": -0.5, "text": "to eat it"}]', "5", id="entries-5"),
+        pytest.param("10", '"1"', id="beam_width-str"),
+    ])
+    def test_eval_bleu_rejects_non_json_score(self, atlas, tmp_path, capsys, field, constant):
         gen = tmp_path / "nn.jsonl"
         gen.write_text(
-            '{"beam_width": 10, "dimension": "xWant", "entries": [{"score": '
-            + constant + ', "text": "to eat it"}], "event": "PersonX walks the dog"}\n')
+            '{"beam_width": 10, "dimension": "xWant", "entries": [{"score": -0.5, '
+            '"text": "to eat it"}], "event": "PersonX walks the dog"}\n'.replace(field, constant, 1))
         out = tmp_path / "bleu.json"
         assert run(["eval-bleu", "--gen", str(gen), "--atlas", atlas,
                     "--out", str(out)]) == 2
@@ -415,7 +424,7 @@ class TestExitCodes:
         real = generation.write_generations
 
         def fail_mid_write(lists, stream):
-            real(lists[:1], stream)
+            real(itertools.islice(lists, 1), stream)
             raise OSError("disk full")
 
         monkeypatch.setattr(generation, "write_generations", fail_mid_write)
@@ -423,6 +432,30 @@ class TestExitCodes:
             run(generate[:-1] + [str(gen)])
         assert gen.read_bytes() == before
         assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+    @pytest.mark.parametrize("nearest", [False, True], ids=["beam", "nearest"])
+    def test_failed_generation_leaves_no_partial_dump(self, atlas, tmp_path, monkeypatch,
+                                                      capsys, nearest):
+        ckpt, emb, gen = tmp_path / "model.ckpt", tmp_path / "emb.tsv", tmp_path / "gen.jsonl"
+        assert run(train_args(atlas, str(ckpt))) == 0
+        emb.write_text("personx\t0.5 0.5\nruns\t1.0 0.0\n")
+        generate = ["generate", "--atlas", atlas, "--beam-width", "2", "--max-len", "3",
+                    "--out", str(gen)] + (["--nearest", "--embeddings", str(emb)]
+                                          if nearest else ["--ckpt", str(ckpt)])
+        name = "nearest_neighbor_predict" if nearest else "beam_search"
+        real, made = getattr(generation, name), []
+
+        def fail_on_third(*args, **kwargs):
+            if len(made) == 2:
+                raise ValueError("bad list")
+            made.append(real(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(generation, name, fail_on_third)
+        assert run(generate) == 2
+        assert capsys.readouterr().err == "data error: bad list\n"
+        assert len(made) == 2
+        assert not [p.name for p in tmp_path.iterdir() if p.name.startswith("gen.jsonl")]
 
     def test_bad_ratios(self, atlas, tmp_path, capsys):
         assert run(["split", "--atlas", atlas, "--ratios", "0.5,0.5",

@@ -1,6 +1,7 @@
 import io
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -152,6 +153,119 @@ class TestBeamSearch:
         params = toy_params()
         with pytest.raises(ValueError, match="max_len"):
             beam_search(params, "w0", params.decoder_dims[0], max_len=max_len)
+
+
+def reference_entries(params, dim, event_ids, width, max_len, suppress_unk=False):
+    """``beam_search_reference`` over the model, run to the length cap."""
+    replays = {}
+
+    def step_logprobs(consumed):
+        if consumed not in replays:
+            state = initial_decoder_state(params, dim, event_ids)
+            for tok in consumed:
+                probs, state = decode_step(params, dim, state, tok)
+            replays[consumed] = np.log(np.maximum(probs, 1e-300)).tolist()
+        return replays[consumed]
+
+    vocab = params.vocab
+    ranked = beam_search_reference(step_logprobs, vocab.bos_id, vocab.eos_id, vocab.unk_id,
+                                   width, max_len, suppress_unk)
+    return [(tuple(vocab.tokens[i] for i in ids), score) for ids, score in ranked]
+
+
+def assert_entries_match(result, expected):
+    assert [tokens for tokens, _ in result.entries] == [tokens for tokens, _ in expected]
+    for (_, score), (_, ref_score) in zip(result.entries, expected):
+        assert abs(score - ref_score) < 1e-12
+
+
+class TestEarlyStop:
+    """The search may end before the cap only when that cannot change its result."""
+
+    def test_stops_before_cap_with_reference_result(self, monkeypatch):
+        params = toy_params(vocab_size=12, hidden=8, seed=21)
+        dim = params.decoder_dims[0]
+        params.arrays[f"decoder/{dim.value}/b_o"][params.vocab.eos_id] = 6.0
+        event = ["w0", "w1"]
+        expected = reference_entries(params, dim, params.vocab.encode(event), 3, 8)
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return decode_step(*args)
+
+        monkeypatch.setattr("ifthen.generation.decode_step", counted)
+        result = beam_search(params, event, dim, beam_width=3, max_len=8)
+        assert len(calls) < 8
+        assert_entries_match(result, expected)
+
+    @pytest.mark.parametrize("width", range(1, 7))
+    def test_flat_output_ties_match_reference(self, width):
+        params = toy_params(vocab_size=10, hidden=8, seed=22)
+        dim = params.decoder_dims[0]
+        # Every token ties at every step: only the tie-break orders them.
+        params.arrays[f"decoder/{dim.value}/W_o"][:] = 0.0
+        params.arrays[f"decoder/{dim.value}/b_o"][:] = 0.0
+        event = ["w0"]
+        result = beam_search(params, event, dim, beam_width=width, max_len=6)
+        expected = reference_entries(params, dim, params.vocab.encode(event), width, 6)
+        assert list(result.entries) == expected
+
+    def test_suppress_unk_runs_to_cap(self):
+        params = toy_params(vocab_size=10, hidden=8, seed=23)
+        dim = params.decoder_dims[0]
+        vocab = params.vocab
+        # <unk> takes all the mass (p = 1.0 exactly), so the renormalizing
+        # shift is log(1e-300) and increments are positive: <eos> gains about
+        # 40.8 a step and the dominant token w0 about 20.8.
+        params.arrays[f"decoder/{dim.value}/W_o"][:] = 0.0
+        b_o = params.arrays[f"decoder/{dim.value}/b_o"]
+        b_o[:] = 0.0
+        b_o[vocab.unk_id], b_o[vocab.eos_id], b_o[vocab.encode(["w0"])[0]] = 700.0, 50.0, 30.0
+        event = ["w1"]
+        result = beam_search(params, event, dim, beam_width=1, max_len=4, suppress_unk=True)
+        expected = reference_entries(params, dim, vocab.encode(event), 1, 4, suppress_unk=True)
+        assert_entries_match(result, expected)
+
+    def test_boundary_ties_run_on(self, monkeypatch):
+        # A fake decoder whose distribution depends on the step and the last
+        # token, with probabilities 0, 1/2 and 1: an alive score that ties the
+        # pool's worst can still finish ahead of it on token ids.
+        vocab_size = 10
+        params = toy_params(vocab_size=vocab_size, hidden=4, seed=24)
+        dim = params.decoder_dims[0]
+        eos = params.vocab.eos_id
+        monkeypatch.setattr("ifthen.generation.initial_decoder_state",
+                            lambda *args: np.zeros(1))
+        for seed in range(600):
+            rng = random.Random(seed)
+            rows = {}
+
+            def row(depth, last):
+                if (depth, last) not in rows:
+                    probs = np.zeros(vocab_size)
+                    a, b = rng.sample([eos, 4, 8, 9], 2)
+                    if rng.random() < 0.4:
+                        probs[a] = 1.0
+                    else:
+                        probs[a] = probs[b] = 0.5
+                    rows[depth, last] = probs
+                return rows[depth, last]
+
+            def fake_step(params, dimension, states, last):
+                # The state's one column counts the steps taken.
+                return (np.array([row(int(d), int(t)) for d, t in zip(states[:, 0], last)]),
+                        states + 1)
+
+            monkeypatch.setattr("ifthen.generation.decode_step", fake_step)
+            width, max_len = rng.randint(1, 4), rng.randint(2, 6)
+            result = beam_search(params, ["w0"], dim, beam_width=width, max_len=max_len)
+            expected = beam_search_reference(
+                lambda consumed: np.log(np.maximum(row(len(consumed) - 1, consumed[-1]),
+                                                   1e-300)).tolist(),
+                params.vocab.bos_id, eos, params.vocab.unk_id, width, max_len, False)
+            assert [(tuple(params.vocab.encode(list(t))), s) for t, s in result.entries] \
+                == expected, seed
 
 
 class TestGenerationList:
@@ -415,10 +529,25 @@ class TestSerialization:
         with pytest.raises(ValueError):
             write_generations([gen], io.StringIO())
 
-    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity", "-1e999", "1e999"])
-    def test_non_json_constant_rejected_with_line(self, constant):
+    @pytest.mark.parametrize("field, constant", [
+        pytest.param("-0.5", value, id=value)
+        for value in ["NaN", "Infinity", "-Infinity", "-1e999", "1e999",
+                      "null", "-1" + "0" * 400, "true"]
+    ] + [
+        pytest.param('"to rest"', "5", id="text-5"),
+        pytest.param('[{"score": -0.5, "text": "to rest"}]', "5", id="entries-5"),
+        pytest.param("1", '"1"', id="beam_width-str"),
+    ])
+    def test_non_json_constant_rejected_with_line(self, field, constant):
         good = ('{"beam_width": 1, "dimension": "xWant", "entries": '
                 '[{"score": -0.5, "text": "to rest"}], "event": "PersonX runs"}')
-        bad = good.replace("-0.5", constant)
+        bad = good.replace(field, constant, 1)
         with pytest.raises(ValueError, match=f"generation dump line 2: {constant} is not"):
             read_generations(io.StringIO(good + "\n" + bad + "\n"))
+
+    def test_equal_texts_share_token_tuples(self):
+        line = ('{"beam_width": 2, "dimension": "xWant", "entries": [{"score": -0.5, '
+                '"text": "to rest"}, {"score": -0.7, "text": "to eat"}], "event": "%s"}\n')
+        a, b = read_generations(io.StringIO(line % "PersonX runs" + line % "PersonX eats"))
+        assert a.entries == b.entries
+        assert all(x[0] is y[0] for x, y in zip(a.entries, b.entries))
