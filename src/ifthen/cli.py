@@ -9,13 +9,14 @@ settings next to it (``<out>.config.json``). Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import sys
 from collections.abc import Callable
 
 from ifthen import atlas_io, evaluation, generation
-from ifthen.atlas_io import AtlasFormatError, atomic_write, parse_atlas_file
-from ifthen.evaluation import EvalError
+from ifthen.atlas_io import atomic_write, parse_atlas_file
 from ifthen.graph import (
     EventPhrase,
     Split,
@@ -35,7 +36,7 @@ from ifthen.ingest import (
     normalize_event,
     split_events,
 )
-from ifthen.overlap import OverlapError, event_coverage, load_edge_file, triple_overlap
+from ifthen.overlap import event_coverage, load_edge_file, triple_overlap
 from ifthen.seq2seq import (
     ModelConfig,
     ModelVariant,
@@ -49,8 +50,6 @@ from ifthen.seq2seq import (
     save_checkpoint,
     train,
 )
-from ifthen.seq2seq.checkpoint import CheckpointError
-from ifthen.seq2seq.embeddings import EmbeddingFormatError
 from ifthen.seq2seq.model import TrainingInstance
 from ifthen.taxonomy import Dimension
 
@@ -70,7 +69,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _CommandParser(_Parser):
-    """Leaves flags that were not given out of the namespace.
+    """One subcommand: its ``handler`` and flags that were not given left
+    out of the namespace.
 
     ``flags`` keeps each flag's action and default, so a ``--config``
     value fills exactly the flags not given, even one equal to its default.
@@ -78,6 +78,7 @@ class _CommandParser(_Parser):
 
     def __init__(self, *args, **kwargs):
         self.flags: dict[str, tuple[argparse.Action, object]] = {}
+        self.handler: Callable[[argparse.Namespace], None] | None = None
         super().__init__(*args, **kwargs)
 
     def add_argument(self, *args, **kwargs):
@@ -87,18 +88,35 @@ class _CommandParser(_Parser):
             action.default = argparse.SUPPRESS
         return action
 
+    def add_model_flags(self, fields: tuple[str, ...]) -> None:
+        """A flag per ``ModelConfig`` field, typed and defaulted by the field."""
+        for name in fields:
+            default = getattr(ModelConfig, name)
+            if isinstance(default, ModelVariant):
+                self.add_argument("--variant", default=default.value,
+                                  choices=[v.value for v in ModelVariant])
+            else:
+                self.add_argument("--" + name.replace("_", "-"), type=type(default),
+                                  default=default)
+
+
+# The ModelConfig fields that ``train`` takes as flags, in --help order.
+_TRAIN_FIELDS = ("variant", "epochs", "seed", "embed_dim", "enc_hidden", "dec_hidden",
+                 "learning_rate", "batch_size", "min_count", "max_decode_len")
+
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ifthen", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_CommandParser)
 
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, help_text: str, handler) -> _CommandParser:
         p = sub.add_parser(name, help=help_text, parents=[], add_help=True)
+        p.handler = handler
         p.add_argument("--config", default=None, help="JSON settings file (default: none)")
         return p
 
-    p = add("ingest", "validate, normalize and canonicalize a triple file")
+    p = add("ingest", "validate, normalize and canonicalize a triple file", _cmd_ingest)
     p.add_argument("--in", dest="input", required=True, help="input TSV or JSONL file")
     p.add_argument("--out", required=True, help="output file; .jsonl extension selects JSONL")
     p.add_argument("--name-lexicon", default=None,
@@ -108,42 +126,32 @@ def _build_parser() -> _Parser:
     p.add_argument("--blank-threshold", type=int, default=None,
                    help="blanking cutoff (default: per-source rule)")
 
-    p = add("stats", "graph statistics for a triple file")
+    p = add("stats", "graph statistics for a triple file", _cmd_stats)
     p.add_argument("--atlas", required=True, help="triple file")
     p.add_argument("--out", default=None, help="also write JSON report here (default: stdout only)")
 
-    p = add("query", "list annotated inferences for an event and dimension")
+    p = add("query", "list annotated inferences for an event and dimension", _cmd_query)
     p.add_argument("--atlas", required=True, help="triple file")
     p.add_argument("--event", required=True, help="event text")
     p.add_argument("--dim", required=True, choices=[d.value for d in Dimension])
     p.add_argument("--include-empty", action="store_true",
                    help="also return empty-annotation sentinels (default: off)")
 
-    p = add("split", "assign base events to train/dev/test by content-key groups")
+    p = add("split", "assign base events to train/dev/test by content-key groups", _cmd_split)
     p.add_argument("--atlas", required=True, help="triple file supplying base events")
     p.add_argument("--ratios", default="0.8,0.1,0.1", help="train,dev,test (default: 0.8,0.1,0.1)")
     p.add_argument("--seed", type=int, default=0, help="shuffle seed (default: 0)")
     p.add_argument("--stopwords", default=None, help="stopword file (default: shipped list)")
     p.add_argument("--out", required=True, help="JSON assignment output")
 
-    p = add("train", "train a model variant on the train split")
+    p = add("train", "train a model variant on the train split", _cmd_train)
     p.add_argument("--atlas", required=True, help="triple file")
-    p.add_argument("--variant", default=ModelConfig.variant.value,
-                   choices=[v.value for v in ModelVariant])
-    p.add_argument("--epochs", type=int, default=ModelConfig.epochs)
-    p.add_argument("--seed", type=int, default=ModelConfig.seed)
-    p.add_argument("--embed-dim", type=int, default=ModelConfig.embed_dim)
-    p.add_argument("--enc-hidden", type=int, default=ModelConfig.enc_hidden)
-    p.add_argument("--dec-hidden", type=int, default=ModelConfig.dec_hidden)
-    p.add_argument("--learning-rate", type=float, default=ModelConfig.learning_rate)
-    p.add_argument("--batch-size", type=int, default=ModelConfig.batch_size)
-    p.add_argument("--min-count", type=int, default=ModelConfig.min_count)
-    p.add_argument("--max-decode-len", type=int, default=ModelConfig.max_decode_len)
+    p.add_model_flags(_TRAIN_FIELDS)
     p.add_argument("--embeddings", default=None,
                    help="static embedding file to initialize known tokens (default: off)")
     p.add_argument("--out", required=True, help="checkpoint output path")
 
-    p = add("generate", "beam-search inferences for events")
+    p = add("generate", "beam-search inferences for events", _cmd_generate)
     p.add_argument("--ckpt", default=None, help="trained checkpoint (required unless --nearest)")
     p.add_argument("--atlas", required=True, help="triple file supplying events and gold splits")
     p.add_argument("--split", default="test", choices=[s.value for s in Split],
@@ -162,7 +170,7 @@ def _build_parser() -> _Parser:
                    help="static embedding file (required with --nearest)")
     p.add_argument("--out", required=True, help="JSONL generation dump")
 
-    p = add("eval-bleu", "average top-k BLEU of a generation dump against gold")
+    p = add("eval-bleu", "average top-k BLEU of a generation dump against gold", _cmd_eval_bleu)
     p.add_argument("--gen", required=True, help="generation dump (JSONL)")
     p.add_argument("--atlas", required=True, help="gold triple file")
     p.add_argument("--k", type=int, default=10)
@@ -170,27 +178,26 @@ def _build_parser() -> _Parser:
     p.add_argument("--smoothing-epsilon", type=float, default=evaluation.SMOOTHING_EPSILON)
     p.add_argument("--out", default=None, help="JSON report path (default: stdout only)")
 
-    p = add("export-human-eval", "sample events and export a judgment sheet")
+    p = add("export-human-eval", "sample events and export a judgment sheet",
+            _cmd_export_human_eval)
     p.add_argument("--gen", required=True, help="generation dump (JSONL)")
     p.add_argument("--sample-size", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="TSV sheet output")
 
-    p = add("precision", "precision@10 from a filled judgment sheet")
+    p = add("precision", "precision@10 from a filled judgment sheet", _cmd_precision)
     p.add_argument("--sheet", required=True, help="judgment sheet TSV")
     p.add_argument("--threshold", default="majority", choices=["majority", "any"],
                    help="vote aggregation rule (default: majority)")
     p.add_argument("--out", default=None, help="JSON output path (default: stdout only)")
 
-    p = add("overlap", "triple overlap and event coverage against an edge file")
+    p = add("overlap", "triple overlap and event coverage against an edge file", _cmd_overlap)
     p.add_argument("--atlas", required=True, help="triple file")
     p.add_argument("--edges", required=True, help="external edge TSV")
     p.add_argument("--out", default=None, help="JSON output path (default: stdout only)")
 
-    p = add("gradcheck", "finite-difference check of analytic gradients")
-    p.add_argument("--variant", default=ModelConfig.variant.value,
-                   choices=[v.value for v in ModelVariant])
-    p.add_argument("--seed", type=int, default=0)
+    p = add("gradcheck", "finite-difference check of analytic gradients", _cmd_gradcheck)
+    p.add_model_flags(("variant", "seed"))
     p.add_argument("--vocab-size", type=int, default=30)
     p.add_argument("--hidden", type=int, default=16)
     p.add_argument("--epsilon", type=float, default=1e-4)
@@ -218,7 +225,10 @@ def _apply_config(parser: _CommandParser, args: argparse.Namespace) -> argparse.
     settings = {}
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
-            settings = json.load(fh)
+            try:
+                settings = json.load(fh)
+            except ValueError as exc:  # not UTF-8 or not JSON
+                raise UsageError(f"the --config file is not JSON: {exc}") from None
         if not isinstance(settings, dict):
             raise UsageError("the --config file must hold a JSON object")
         unknown = set(settings) - set(parser.flags)
@@ -243,11 +253,29 @@ def _emit_resolved_config(args: argparse.Namespace) -> None:
 
 
 def _write_json(data, out_path: str | None) -> None:
-    text = json.dumps(data, indent=2, sort_keys=True)
+    text = json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
     if out_path:
         with atomic_write(out_path) as fh:
             fh.write(text + "\n")
     print(text)
+
+
+def _report(value):
+    """``value`` as JSON data: enum keys become their values and floats
+    are rounded to 3 places."""
+    if isinstance(value, dict):
+        return {getattr(k, "value", k): _report(v) for k, v in value.items()}
+    if isinstance(value, float):
+        return round(value, 3)
+    return value
+
+
+def _model_config(**fields) -> ModelConfig:
+    """``ModelConfig.from_dict(fields)``; an invalid setting is a usage error."""
+    try:
+        return ModelConfig.from_dict(fields)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _map_events(
@@ -265,7 +293,7 @@ def _map_events(
     return out
 
 
-def _cmd_ingest(args) -> int:
+def _cmd_ingest(args) -> None:
     if args.blank_threshold is not None:
         if not args.freq_table:
             raise UsageError("--blank-threshold needs --freq-table")
@@ -287,32 +315,14 @@ def _cmd_ingest(args) -> int:
         else:
             atlas_io.write_atlas_tsv(triples, fh)
     print(f"wrote {len(triples)} triples to {args.out}")
-    return EXIT_OK
 
 
-def _cmd_stats(args) -> int:
+def _cmd_stats(args) -> None:
     report = graph_stats(build_graph(parse_atlas_file(args.atlas)))
-    data = {
-        "triples_total": report.triples_total,
-        "triples_by_content_type": {
-            ct.value: n for ct, n in report.triples_by_content_type.items()
-        },
-        "nodes_total": report.nodes_total,
-        "nodes_by_content_type": {
-            ct.value: n for ct, n in report.nodes_by_content_type.items()
-        },
-        "avg_words_per_node": {
-            ct.value: round(v, 3) for ct, v in report.avg_words_per_node.items()
-        },
-        "base_event_count": report.base_event_count,
-        "base_event_avg_words": round(report.base_event_avg_words, 3),
-        "nodes_appearing_multiple": report.nodes_appearing_multiple,
-    }
-    _write_json(data, args.out)
-    return EXIT_OK
+    _write_json(_report(dataclasses.asdict(report)), args.out)
 
 
-def _cmd_query(args) -> int:
+def _cmd_query(args) -> None:
     graph = build_graph(parse_atlas_file(args.atlas))
     targets = query_inferences(
         graph, args.event, Dimension(args.dim), include_empty=args.include_empty
@@ -321,10 +331,9 @@ def _cmd_query(args) -> int:
         print(t.text)
     if not targets:
         print("(no inferences)", file=sys.stderr)
-    return EXIT_OK
 
 
-def _cmd_split(args) -> int:
+def _cmd_split(args) -> None:
     try:
         ratios = tuple(float(r) for r in args.ratios.split(","))
         check_ratios(ratios)
@@ -343,25 +352,10 @@ def _cmd_split(args) -> int:
     for s in assignment.assignment.values():
         counts[s.value] += 1
     print(f"split sizes: {counts}", file=sys.stderr)
-    return EXIT_OK
 
 
-def _cmd_train(args) -> int:
-    try:
-        config = ModelConfig(
-            variant=ModelVariant(args.variant),
-            embed_dim=args.embed_dim,
-            enc_hidden=args.enc_hidden,
-            dec_hidden=args.dec_hidden,
-            max_decode_len=args.max_decode_len,
-            learning_rate=args.learning_rate,
-            batch_size=args.batch_size,
-            epochs=args.epochs,
-            seed=args.seed,
-            min_count=args.min_count,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+def _cmd_train(args) -> None:
+    config = _model_config(**{name: getattr(args, name) for name in _TRAIN_FIELDS})
     triples = parse_atlas_file(args.atlas)
     train_triples = [t for t in triples if t.split is Split.Train]
     if not train_triples:
@@ -382,7 +376,6 @@ def _cmd_train(args) -> int:
     save_checkpoint(params, args.out)
     print(f"trained {len(instances)} instances for {len(trace)} epochs; "
           f"final loss {trace[-1]:.4f}; checkpoint at {args.out}")
-    return EXIT_OK
 
 
 def _dims(names: str | None, available: list[Dimension]) -> list[Dimension]:
@@ -395,7 +388,7 @@ def _dims(names: str | None, available: list[Dimension]) -> list[Dimension]:
     return [Dimension(n) for n in names.split(",")]
 
 
-def _cmd_generate(args) -> int:
+def _cmd_generate(args) -> None:
     if args.beam_width < 1:
         raise UsageError("--beam-width must be at least 1")
     if args.max_len is not None and args.max_len < 1:
@@ -438,12 +431,13 @@ def _cmd_generate(args) -> int:
     with atomic_write(args.out) as fh:
         written = generation.write_generations(results, fh)
     print(f"wrote {written} generation lists to {args.out}")
-    return EXIT_OK
 
 
-def _cmd_eval_bleu(args) -> int:
+def _cmd_eval_bleu(args) -> None:
     if args.k < 1:
         raise UsageError("--k must be at least 1")
+    if not (math.isfinite(args.smoothing_epsilon) and args.smoothing_epsilon > 0):
+        raise UsageError("--smoothing-epsilon must be finite and positive")
     with open(args.gen, encoding="utf-8") as fh:
         gens = generation.read_generations(fh)
     gold = build_graph(parse_atlas_file(args.atlas))
@@ -451,10 +445,9 @@ def _cmd_eval_bleu(args) -> int:
         gens, gold, k=args.k, split=args.split, smoothing_epsilon=args.smoothing_epsilon
     )
     _write_json(report.to_dict(), args.out)
-    return EXIT_OK
 
 
-def _cmd_export_human_eval(args) -> int:
+def _cmd_export_human_eval(args) -> None:
     if args.sample_size < 1:
         raise UsageError("--sample-size must be at least 1")
     with open(args.gen, encoding="utf-8") as fh:
@@ -465,35 +458,27 @@ def _cmd_export_human_eval(args) -> int:
     with atomic_write(args.out) as fh:
         evaluation.write_sheet(sheet, fh)
     print(f"wrote {len(sheet.rows)} sheet rows to {args.out}")
-    return EXIT_OK
 
 
-def _cmd_precision(args) -> int:
+def _cmd_precision(args) -> None:
     with open(args.sheet, encoding="utf-8") as fh:
         sheet = evaluation.read_sheet(fh)
     if sheet.rows and all(r.votes_valid is None for r in sheet.rows):
         _write_json({"status": "no judgments", "threshold": args.threshold}, args.out)
-        return EXIT_OK
+        return
     result = evaluation.precision_at_10(sheet, valid_threshold=args.threshold)
     _write_json({"precision_at_10": result, "threshold": args.threshold}, args.out)
-    return EXIT_OK
 
 
-def _cmd_overlap(args) -> int:
+def _cmd_overlap(args) -> None:
     graph = build_graph(parse_atlas_file(args.atlas))
     with open(args.edges, encoding="utf-8") as fh:
         edges = load_edge_file(fh)
-    result = {
-        "triple_overlap": {
-            g.value: round(v, 3) for g, v in triple_overlap(graph, edges).items()
-        },
-        "event_coverage": round(event_coverage(graph, edges), 3),
-    }
-    _write_json(result, args.out)
-    return EXIT_OK
+    _write_json(_report({"triple_overlap": triple_overlap(graph, edges),
+                         "event_coverage": event_coverage(graph, edges)}), args.out)
 
 
-def _cmd_gradcheck(args) -> int:
+def _cmd_gradcheck(args) -> None:
     import numpy as np
 
     from ifthen.seq2seq.vocab import RESERVED_TOKENS, VocabularyMap
@@ -503,16 +488,8 @@ def _cmd_gradcheck(args) -> int:
     extra = [f"w{i}" for i in range(max(args.vocab_size - len(RESERVED_TOKENS), 0))]
     vocab = VocabularyMap.from_tokens(list(RESERVED_TOKENS) + extra)
     hidden = args.hidden + (args.hidden % 2)
-    try:
-        config = ModelConfig(
-            variant=ModelVariant(args.variant),
-            embed_dim=hidden,
-            enc_hidden=hidden,
-            dec_hidden=hidden,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    config = _model_config(variant=args.variant, seed=args.seed,
+                           embed_dim=hidden, enc_hidden=hidden, dec_hidden=hidden)
     params = init_params(config, vocab)
     rng = np.random.default_rng(args.seed)
     dims = params.decoder_dims
@@ -528,46 +505,23 @@ def _cmd_gradcheck(args) -> int:
     print(f"max relative gradient error ({args.variant}): {err:.3e}")
     if err != err:  # NaN
         raise NumericError("gradient check produced NaN")
-    return EXIT_OK
-
-
-_COMMANDS = {
-    "ingest": _cmd_ingest,
-    "stats": _cmd_stats,
-    "query": _cmd_query,
-    "split": _cmd_split,
-    "train": _cmd_train,
-    "generate": _cmd_generate,
-    "eval-bleu": _cmd_eval_bleu,
-    "export-human-eval": _cmd_export_human_eval,
-    "precision": _cmd_precision,
-    "overlap": _cmd_overlap,
-    "gradcheck": _cmd_gradcheck,
-}
 
 
 def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        args = _apply_config(parser.commands[args.command], args)
-        status = _COMMANDS[args.command](args)
+        command = parser.commands[args.command]
+        args = _apply_config(command, args)
+        command.handler(args)
         _emit_resolved_config(args)
-        return status
+        return EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (
-        AtlasFormatError,
-        IngestError,
-        EvalError,
-        OverlapError,
-        CheckpointError,
-        EmbeddingFormatError,
-        FileNotFoundError,
-        json.JSONDecodeError,
-        ValueError,
-    ) as exc:
+    except (OSError, ValueError) as exc:  # every package error is a ValueError
+        if isinstance(exc, OSError) and exc.filename is None:
+            raise  # not a path that cannot be read or written, e.g. a full disk
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as exc:

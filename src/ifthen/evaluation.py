@@ -22,6 +22,7 @@ from ifthen.graph import AtlasGraph, InferenceTarget, normalize_node_text, query
 from ifthen.taxonomy import Dimension
 
 SMOOTHING_EPSILON = 0.1
+ROWS_PER_PAIR = 10  # ranked generations per sampled (event, dimension) on a sheet
 
 SHEET_COLUMNS = ("event", "dimension", "rank", "generation", "votes_valid", "judges_total")
 
@@ -48,8 +49,10 @@ def bleu2(
 
     Returns a value in [0, 1]; an empty candidate scores 0. Smoothing
     applies only to orders above 1: if unigram precision is zero the
-    score is 0.
+    score is 0. ``smoothing_epsilon`` must be finite and positive.
     """
+    if not (math.isfinite(smoothing_epsilon) and smoothing_epsilon > 0):
+        raise EvalError(f"smoothing epsilon must be finite and positive, got {smoothing_epsilon}")
     if not references or any(not r for r in references):
         raise EvalError("references must be non-empty token sequences")
     if not candidate:
@@ -192,7 +195,6 @@ def export_human_eval_sheet(
     generations: list[GenerationList],
     sample_size: int = 100,
     seed: int = 0,
-    rows_per_pair: int = 10,
 ) -> JudgmentSheet:
     """Seeded sample of events, ten ranked rows per (event, dimension).
 
@@ -208,12 +210,12 @@ def export_human_eval_sheet(
     for gen in sorted(generations, key=lambda g: (g.event, g.dimension.value)):
         if gen.event not in sampled:
             continue
-        if len(gen.entries) < rows_per_pair:
+        if len(gen.entries) < ROWS_PER_PAIR:
             raise EvalError(
                 f"({gen.event!r}, {gen.dimension.value}) has "
-                f"{len(gen.entries)} generations, need {rows_per_pair}"
+                f"{len(gen.entries)} generations, need {ROWS_PER_PAIR}"
             )
-        for rank, (tokens, _) in enumerate(gen.entries[:rows_per_pair], start=1):
+        for rank, (tokens, _) in enumerate(gen.entries[:ROWS_PER_PAIR], start=1):
             rows.append(
                 SheetRow(
                     event=gen.event,

@@ -18,6 +18,8 @@ from conftest import make_triple, toy_params
 
 from oracles import bleu2_oracle, enumerate_sequences, overlap_oracle, stats_oracle
 
+from test_generation import model_step_logprobs
+
 from ifthen.evaluation import avg_topk_bleu, bleu2, is_instance_evaluable
 from ifthen.generation import beam_search, greedy_decode
 from ifthen.graph import AtlasGraph, EventPhrase, InferenceTarget, build_graph, graph_stats
@@ -240,8 +242,6 @@ def test_beam_correctness():
     mask[window] = 0.0
     mask[params.vocab.eos_id] = 0.0
     params.arrays[f"decoder/{dim.value}/b_o"] += mask
-
-    from test_generation import model_step_logprobs
 
     oracle = enumerate_sequences(
         model_step_logprobs(params, dim, [8, 9]), params.vocab.eos_id, max_len=3

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import itertools
 import json
@@ -8,9 +9,15 @@ import pytest
 from conftest import poison_gradients
 
 from ifthen import atlas_io, generation
+from ifthen.atlas_io import AtlasFormatError
 from ifthen.cli import run
+from ifthen.evaluation import EvalError
 from ifthen.graph import Triple
+from ifthen.ingest import IngestError
+from ifthen.overlap import OverlapError
 from ifthen.seq2seq import ModelConfig
+from ifthen.seq2seq.checkpoint import CheckpointError
+from ifthen.seq2seq.embeddings import EmbeddingFormatError
 
 ATLAS = """\
 PersonX runs home\txWant\tto rest\ttrain\tw1
@@ -385,6 +392,12 @@ class TestExitCodes:
         cfg.write_text('["epochs"]')
         assert run(["stats", "--atlas", atlas, "--config", str(cfg)]) == 1
         assert "usage error" in capsys.readouterr().err
+        cfg.write_text("{")  # not JSON at all
+        assert run(["stats", "--atlas", atlas, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("usage error: the --config file is not JSON")
+        # A missing config file is a missing input, like any other.
+        assert run(["stats", "--atlas", atlas, "--config", str(tmp_path / "nope.json")]) == 2
+        assert "data error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", [["--enc-hidden", "7"], ["--epochs", "0"],
                                       ["--batch-size", "0"], ["--min-count", "0"]])
@@ -457,6 +470,34 @@ class TestExitCodes:
         assert len(made) == 2
         assert not [p.name for p in tmp_path.iterdir() if p.name.startswith("gen.jsonl")]
 
+    @pytest.mark.parametrize("error", [AtlasFormatError, IngestError, EvalError, OverlapError,
+                                       CheckpointError, EmbeddingFormatError])
+    def test_package_errors_are_value_errors(self, error):
+        # run() maps ValueError to exit 2, so every package error must be one.
+        assert issubclass(error, ValueError)
+
+    @pytest.mark.parametrize("argv", [
+        ["stats", "--atlas", "{tmp}"],
+        ["stats", "--atlas", "{atlas}", "--out", "{tmp}/d"],
+        ["generate", "--ckpt", "{tmp}/d", "--atlas", "{atlas}", "--out", "{tmp}/g.jsonl"],
+    ], ids=["stats-atlas", "stats-out", "generate-ckpt"])
+    def test_directory_path_is_data_error(self, atlas, tmp_path, capsys, argv):
+        (tmp_path / "d").mkdir()
+        assert run([a.format(atlas=atlas, tmp=tmp_path) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("data error: [Errno 21] Is a directory")
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["atlas.tsv", "d"]
+
+    @pytest.mark.parametrize("command", ["ingest", "stats", "query", "split", "train",
+                                         "generate", "eval-bleu", "export-human-eval",
+                                         "precision", "overlap", "gradcheck"])
+    def test_help_exits_0(self, capsys, command):
+        with pytest.raises(SystemExit) as exited:
+            run([command, "--help"])
+        assert exited.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: ifthen {command} ")
+
     def test_bad_ratios(self, atlas, tmp_path, capsys):
         assert run(["split", "--atlas", atlas, "--ratios", "0.5,0.5",
                     "--out", str(tmp_path / "s.json")]) == 1
@@ -486,12 +527,18 @@ class TestExitCodes:
         (["train", "--atlas", "{atlas}", "--out", "{tmp}/m.ckpt", "--learning-rate=-1e-3"], 1),
         (["generate", "--ckpt", "{tmp}/m.ckpt", "--atlas", "{atlas}", "--max-len", "1",
           "--out", "{tmp}/g.jsonl"], 2),
+    ] + [
+        (["eval-bleu", "--gen", "{tmp}/g.jsonl", "--atlas", "{atlas}",
+          f"--smoothing-epsilon={value}", "--out", "{tmp}/b.json"], 1)
+        for value in ["0", "-0.5", "nan", "inf"]
     ], ids=["gradcheck-epsilon-0", "gradcheck-epsilon-negative", "gradcheck-hidden-0",
             "generate-max-len-0", "generate-max-len-negative", "split-ratios-not-numbers",
             "split-ratios-negative", "split-ratios-not-summing-to-1",
             "ingest-blank-threshold-0", "ingest-blank-threshold-without-freq-table",
             "export-sample-size-negative", "eval-bleu-k-0", "train-learning-rate-nan",
-            "train-learning-rate-inf", "train-learning-rate-negative", "generate-missing-ckpt"])
+            "train-learning-rate-inf", "train-learning-rate-negative", "generate-missing-ckpt",
+            "eval-bleu-epsilon-0", "eval-bleu-epsilon-negative", "eval-bleu-epsilon-nan",
+            "eval-bleu-epsilon-inf"])
     def test_bad_flag_value_exit_code(self, atlas, tmp_path, capsys, argv, expected):
         assert run([a.format(atlas=atlas, tmp=tmp_path) for a in argv]) == expected
         err = capsys.readouterr().err
@@ -522,6 +569,21 @@ class TestConfigLayering:
                     "--config", str(cfg), "--epochs", "1"]) == 0
         resolved = json.loads((tmp_path / "model.ckpt.config.json").read_text())
         assert resolved["epochs"] == 1
+
+    def test_every_model_flag_reaches_the_checkpoint(self, atlas, tmp_path):
+        values = {"variant": "event-invol", "epochs": 2, "seed": 3, "embed_dim": 6,
+                  "enc_hidden": 4, "dec_hidden": 10, "learning_rate": 0.01, "batch_size": 3,
+                  "min_count": 2, "max_decode_len": 5}
+        # The flags are the ModelConfig fields but for clip_norm and early_stop_loss.
+        fields = dataclasses.fields(ModelConfig)
+        assert set(values) == {f.name for f in fields} - {"clip_norm", "early_stop_loss"}
+        defaults = ModelConfig().to_dict()
+        assert all(values[name] != defaults[name] for name in values)
+        ckpt = tmp_path / "model.ckpt"
+        flags = [f"--{name.replace('_', '-')}={value}" for name, value in values.items()]
+        assert run(["train", "--atlas", atlas, "--out", str(ckpt)] + flags) == 0
+        config = json.loads(ckpt.read_bytes().split(b"\n", 1)[0])["config"]
+        assert config == {**defaults, **values}
 
     def test_flag_equal_to_default_overrides_config(self, atlas, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

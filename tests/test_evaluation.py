@@ -68,6 +68,14 @@ class TestBleu2:
         with pytest.raises(EvalError):
             bleu2(["a"], [])
 
+    @pytest.mark.parametrize("epsilon", [0.0, -0.5, math.nan, math.inf])
+    def test_smoothing_epsilon_must_be_finite_and_positive(self, epsilon):
+        # The candidate has no matching bigram, so smoothing would be used;
+        # an empty candidate, which never reaches it, is refused as well.
+        for cand in (["a", "c"], []):
+            with pytest.raises(EvalError, match="finite and positive"):
+                bleu2(cand, [["a", "b"]], smoothing_epsilon=epsilon)
+
     def test_clipping(self):
         # "a a a a" vs "a b": unigram count of "a" clips at 1.
         score = bleu2(["a", "a", "a", "a"], [["a", "b"]])
