@@ -12,9 +12,10 @@ so write-then-parse is byte-identical on well-formed input.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import os
-from typing import IO, Iterable
+from typing import IO, Callable, Iterable
 
 from ifthen.graph import EventPhrase, InferenceTarget, Split, Triple
 from ifthen.taxonomy import Dimension
@@ -52,84 +53,73 @@ _DIMENSIONS = {d.value: d for d in Dimension}
 _SPLITS = {s.value: s for s in Split}
 
 
-def _triple_from_fields(
-    line_no: int,
-    fields: list[str],
-    events: dict[str, EventPhrase],
-    targets: dict[str, InferenceTarget],
-) -> Triple:
-    """One triple from ``fields`` in ``TSV_COLUMNS`` order.
+def _parse(stream: IO[str], fields_of: Callable[[int, str], list[str]]) -> list[Triple]:
+    """Triples in file order; ``fields_of(line_no, line)`` gives each
+    non-blank, non-comment line's fields in ``TSV_COLUMNS`` order.
 
-    ``events`` and ``targets`` hold the phrases already built by this
-    parse, keyed by raw text; a new text's phrase is added once it has
-    been built without error.
+    Triples with equal event (or target) text share one phrase object,
+    built once per parse.
     """
-    event_text, dim_name, target_text, split_label, worker_id = fields
-    dimension = _DIMENSIONS.get(dim_name)
-    if dimension is None:
-        raise AtlasFormatError(line_no, f"unknown dimension name {dim_name!r}")
-    split = _SPLITS.get(split_label)
-    if split is None:
-        raise AtlasFormatError(line_no, f"unknown split label {split_label!r}")
-    event = events.get(event_text)
-    target = targets.get(target_text)
-    if event is None or target is None:
+    event_of = functools.cache(EventPhrase.from_text)
+    target_of = functools.cache(InferenceTarget.from_text)
+    triples = []
+    for line_no, line in enumerate(stream, start=1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        event_text, dim_name, target_text, split_label, worker_id = fields_of(line_no, line)
+        dimension = _DIMENSIONS.get(dim_name)
+        if dimension is None:
+            raise AtlasFormatError(line_no, f"unknown dimension name {dim_name!r}")
+        split = _SPLITS.get(split_label)
+        if split is None:
+            raise AtlasFormatError(line_no, f"unknown split label {split_label!r}")
         try:
-            if event is None:
-                event = events[event_text] = EventPhrase.from_text(event_text)
-            if target is None:
-                target = targets[target_text] = InferenceTarget.from_text(target_text)
+            event, target = event_of(event_text), target_of(target_text)
         except ValueError as exc:
             raise AtlasFormatError(line_no, str(exc)) from None
-    return Triple(
-        event=event,
-        dimension=dimension,
-        target=target,
-        worker_id=worker_id,
-        split=split,
-    )
+        triples.append(Triple(event, dimension, target, worker_id, split))
+    return triples
+
+
+def _tsv_fields(line_no: int, line: str) -> list[str]:
+    cols = line.rstrip("\n").split("\t")
+    if len(cols) != len(TSV_COLUMNS):
+        raise AtlasFormatError(
+            line_no, f"expected {len(TSV_COLUMNS)} columns, got {len(cols)}"
+        )
+    return cols
+
+
+def _jsonl_fields(line_no: int, line: str) -> list[str]:
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise AtlasFormatError(line_no, f"invalid JSON: {exc}") from None
+    if not isinstance(record, dict):
+        raise AtlasFormatError(line_no, f"expected a JSON object, got {json.dumps(record)}")
+    missing = [k for k in TSV_COLUMNS if k not in record]
+    if missing:
+        raise AtlasFormatError(line_no, f"missing keys {missing}")
+    extra = [k for k in record if k not in TSV_COLUMNS]
+    if extra:
+        raise AtlasFormatError(line_no, f"unknown keys {extra}")
+    for k in TSV_COLUMNS:
+        if not isinstance(record[k], str):
+            raise AtlasFormatError(
+                line_no, f"expected a string for {k!r}, got {json.dumps(record[k])}")
+    return [record[k] for k in TSV_COLUMNS]
 
 
 def parse_atlas_tsv(stream: IO[str]) -> list[Triple]:
     """Triples in file order; triples with equal event (or target) text
     share one phrase object."""
-    triples = []
-    events: dict[str, EventPhrase] = {}
-    targets: dict[str, InferenceTarget] = {}
-    for line_no, line in enumerate(stream, start=1):
-        line = line.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
-            continue
-        cols = line.split("\t")
-        if len(cols) != len(TSV_COLUMNS):
-            raise AtlasFormatError(
-                line_no, f"expected {len(TSV_COLUMNS)} columns, got {len(cols)}"
-            )
-        triples.append(_triple_from_fields(line_no, cols, events, targets))
-    return triples
+    return _parse(stream, _tsv_fields)
 
 
 def parse_atlas_jsonl(stream: IO[str]) -> list[Triple]:
-    """Like :func:`parse_atlas_tsv`, for JSON lines."""
-    triples = []
-    events: dict[str, EventPhrase] = {}
-    targets: dict[str, InferenceTarget] = {}
-    for line_no, line in enumerate(stream, start=1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise AtlasFormatError(line_no, f"invalid JSON: {exc}") from None
-        missing = [k for k in TSV_COLUMNS if k not in record]
-        if missing:
-            raise AtlasFormatError(line_no, f"missing keys {missing}")
-        extra = [k for k in record if k not in TSV_COLUMNS]
-        if extra:
-            raise AtlasFormatError(line_no, f"unknown keys {extra}")
-        triples.append(_triple_from_fields(
-            line_no, [str(record[k]) for k in TSV_COLUMNS], events, targets))
-    return triples
+    """Like :func:`parse_atlas_tsv`, for JSON lines whose five fields are
+    all strings."""
+    return _parse(stream, _jsonl_fields)
 
 
 def _canonical(triples: Iterable[Triple]) -> list[Triple]:

@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
+import functools
 import json
 import math
+import os
 import sys
 from collections.abc import Callable
 
@@ -282,15 +285,9 @@ def _map_events(
     triples: list[Triple], fn: Callable[[EventPhrase], EventPhrase]
 ) -> list[Triple]:
     """``triples`` with each event replaced by ``fn(event)``, called once per
-    distinct event text."""
-    done: dict[str, EventPhrase] = {}
-    out = []
-    for t in triples:
-        event = done.get(t.event.text)
-        if event is None:
-            event = done[t.event.text] = fn(t.event)
-        out.append(Triple(event, t.dimension, t.target, t.worker_id, t.split))
-    return out
+    distinct event (two events are equal exactly when their texts are)."""
+    fn = functools.cache(fn)
+    return [Triple(fn(t.event), t.dimension, t.target, t.worker_id, t.split) for t in triples]
 
 
 def _cmd_ingest(args) -> None:
@@ -513,6 +510,12 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         command = parser.commands[args.command]
         args = _apply_config(command, args)
+        # An unusable --out fails before any work, naming the target itself.
+        out = getattr(args, "out", None)
+        if out and os.path.isdir(out):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
+        if out and not os.path.isdir(os.path.dirname(out) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
         command.handler(args)
         _emit_resolved_config(args)
         return EXIT_OK
@@ -520,8 +523,6 @@ def run(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (OSError, ValueError) as exc:  # every package error is a ValueError
-        if isinstance(exc, OSError) and exc.filename is None:
-            raise  # not a path that cannot be read or written, e.g. a full disk
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as exc:

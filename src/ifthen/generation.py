@@ -26,6 +26,7 @@ to the cap.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -311,7 +312,7 @@ def read_generations(stream: IO[str]) -> list[GenerationList]:
     Entries with the same text share one token tuple.
     """
     out = []
-    token_tuples: dict[str, tuple[str, ...]] = {}
+    tokens_of = functools.cache(lambda text: tuple(text.split()))
     for line_no, line in enumerate(stream, start=1):
         if not line.strip():
             continue
@@ -323,10 +324,7 @@ def read_generations(stream: IO[str]) -> list[GenerationList]:
             entries = []
             for e in _typed(record["entries"], list, "a list"):
                 text = _typed(_typed(e, dict, "an object")["text"], str, "a string")
-                tokens = token_tuples.get(text)
-                if tokens is None:
-                    tokens = token_tuples[text] = tuple(text.split())
-                entries.append((tokens, _score(e["score"])))
+                entries.append((tokens_of(text), _score(e["score"])))
             out.append(
                 GenerationList(
                     event=_typed(record["event"], str, "a string"),

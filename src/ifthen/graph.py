@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from statistics import fmean
 
 import numpy as np
@@ -213,18 +213,12 @@ def build_graph(triples: list[Triple]) -> AtlasGraph:
     """
     # Each dimension's name, and whether it describes the event's theme.
     dim_table = {d: (d.value, classify_dimension(d).subject is Subject.Theme) for d in Dimension}
-    norms: dict[str, str] = {}
+    norm = cache(normalize_node_text)
     merged: dict[tuple[str, str, str], tuple[Triple, set[str]]] = {}
     diagnostics: list[str] = []
     for t in triples:
-        ev = norms.get(t.event.text)
-        if ev is None:
-            ev = norms[t.event.text] = normalize_node_text(t.event.text)
-        tgt = norms.get(t.target.text)
-        if tgt is None:
-            tgt = norms[t.target.text] = normalize_node_text(t.target.text)
         dim, theme = dim_table[t.dimension]
-        key = (ev, dim, tgt)
+        key = (norm(t.event.text), dim, norm(t.target.text))
         slot = merged.get(key)
         if slot is None:
             if theme and "PersonY" not in t.event.person_slots:
@@ -299,7 +293,7 @@ def graph_stats(graph: AtlasGraph) -> StatsReport:
     triples_by_ct = {ct: 0 for ct in ContentType}
     nodes_by_ct: dict[ContentType, set[str]] = {ct: set() for ct in ContentType}
     appearances: dict[str, int] = {}
-    norms: dict[str, str] = {}
+    norm = cache(normalize_node_text)
     for (ev_norm, dim), edges in graph.adjacency.items():
         ct = content_types[dim]
         triples_by_ct[ct] += len(edges)
@@ -307,9 +301,7 @@ def graph_stats(graph: AtlasGraph) -> StatsReport:
         for edge in edges:
             if edge.target.is_empty:
                 continue
-            tgt_norm = norms.get(edge.target.text)
-            if tgt_norm is None:
-                tgt_norm = norms[edge.target.text] = normalize_node_text(edge.target.text)
+            tgt_norm = norm(edge.target.text)
             nodes_by_ct[ct].add(tgt_norm)
             appearances[tgt_norm] = appearances.get(tgt_norm, 0) + 1
 

@@ -7,6 +7,7 @@ documented, swappable normalization; no fuzzy matching.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import IO
@@ -121,14 +122,7 @@ def triple_overlap(atlas: AtlasGraph, edges: set[ExternalEdge]) -> dict[Dimensio
     for edge in edges:
         by_relation.setdefault(edge.relation, set()).add((edge.start, edge.end))
 
-    concepts: dict[str, str] = {}
-
-    def concept(text: str) -> str:
-        out = concepts.get(text)
-        if out is None:
-            out = concepts[text] = normalize_concept(text)
-        return out
-
+    concept = functools.cache(normalize_concept)
     # Each dimension is in exactly one group, so each edge is visited once.
     pairs: dict[Dimension, list[tuple[str, str]]] = {}
     for e in atlas.edges:

@@ -104,6 +104,25 @@ def test_jsonl_unknown_key_rejected():
         parse_atlas_jsonl(io.StringIO(line))
 
 
+_VALID_JSON = ('{"dimension": "xReact", "event": "PersonX naps", "split": "train", '
+               '"target": "calm", "worker_id": "w1"}')
+
+
+@pytest.mark.parametrize("line, message", [
+    ("5", "expected a JSON object, got 5"),
+    ("null", "expected a JSON object, got null"),
+    ("[1]", "expected a JSON object, got [1]"),
+    ('"event"', 'expected a JSON object, got "event"'),
+    (_VALID_JSON.replace('"PersonX naps"', "null"), "expected a string for 'event', got null"),
+    (_VALID_JSON.replace('"w1"', "7"), "expected a string for 'worker_id', got 7"),
+    (_VALID_JSON.replace('"calm"', '["calm"]'), "expected a string for 'target', got [\"calm\"]"),
+], ids=["number", "null", "list", "string", "null-field", "number-field", "list-field"])
+def test_jsonl_line_must_be_an_object_of_strings(line, message):
+    with pytest.raises(AtlasFormatError) as exc:
+        parse_atlas_jsonl(io.StringIO(f"{_VALID_JSON}\n{line}\n"))
+    assert str(exc.value) == f"line 2: {message}"
+
+
 def test_atomic_write_replaces_only_when_complete(tmp_path):
     path = tmp_path / "report.json"
     with atomic_write(str(path)) as fh:

@@ -427,7 +427,7 @@ class TestExitCodes:
         assert run(["generate", "--ckpt", str(ckpt), "--atlas", atlas,
                     "--dims", "xAttr", "--out", str(tmp_path / "g.jsonl")]) == 1
 
-    def test_failed_dump_keeps_previous_file(self, atlas, tmp_path, monkeypatch):
+    def test_failed_dump_keeps_previous_file(self, atlas, tmp_path, monkeypatch, capsys):
         ckpt, gen = tmp_path / "model.ckpt", tmp_path / "gen.jsonl"
         assert run(train_args(atlas, str(ckpt))) == 0
         generate = ["generate", "--ckpt", str(ckpt), "--atlas", atlas,
@@ -441,8 +441,9 @@ class TestExitCodes:
             raise OSError("disk full")
 
         monkeypatch.setattr(generation, "write_generations", fail_mid_write)
-        with pytest.raises(OSError, match="disk full"):
-            run(generate[:-1] + [str(gen)])
+        capsys.readouterr()
+        assert run(generate) == 2
+        assert capsys.readouterr().err == "data error: disk full\n"
         assert gen.read_bytes() == before
         assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
 
@@ -476,18 +477,48 @@ class TestExitCodes:
         # run() maps ValueError to exit 2, so every package error must be one.
         assert issubclass(error, ValueError)
 
-    @pytest.mark.parametrize("argv", [
-        ["stats", "--atlas", "{tmp}"],
-        ["stats", "--atlas", "{atlas}", "--out", "{tmp}/d"],
-        ["generate", "--ckpt", "{tmp}/d", "--atlas", "{atlas}", "--out", "{tmp}/g.jsonl"],
+    @pytest.mark.parametrize("argv, named", [
+        (["stats", "--atlas", "{tmp}"], "{tmp}"),
+        (["stats", "--atlas", "{atlas}", "--out", "{tmp}/d"], "{tmp}/d"),
+        (["generate", "--ckpt", "{tmp}/d", "--atlas", "{atlas}", "--out", "{tmp}/g.jsonl"],
+         "{tmp}/d"),
     ], ids=["stats-atlas", "stats-out", "generate-ckpt"])
-    def test_directory_path_is_data_error(self, atlas, tmp_path, capsys, argv):
+    def test_directory_path_is_data_error(self, atlas, tmp_path, capsys, argv, named):
         (tmp_path / "d").mkdir()
         assert run([a.format(atlas=atlas, tmp=tmp_path) for a in argv]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("data error: [Errno 21] Is a directory")
-        assert "Traceback" not in captured.err and captured.out == ""
+        named = named.format(tmp=tmp_path)
+        assert captured.err == f"data error: [Errno 21] Is a directory: {named!r}\n"
+        assert ".tmp" not in captured.err and captured.out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["atlas.tsv", "d"]
+
+    @pytest.mark.parametrize("out, message", [
+        ("d", "[Errno 21] Is a directory"),
+        ("missing/x.json", "[Errno 2] No such file or directory"),
+    ], ids=["directory", "missing-parent"])
+    def test_out_is_checked_before_any_input_is_read(self, atlas, tmp_path, capsys,
+                                                     monkeypatch, out, message):
+        from ifthen import cli
+
+        monkeypatch.setattr(cli, "parse_atlas_file", lambda path: pytest.fail("input read"))
+        (tmp_path / "d").mkdir()
+        target = str(tmp_path / out)
+        assert run(["stats", "--atlas", atlas, "--out", target]) == 2
+        assert capsys.readouterr().err == f"data error: {message}: {target!r}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["atlas.tsv", "d"]
+
+    @pytest.mark.parametrize("line", [
+        "5",
+        '{"dimension": "xReact", "event": null, "split": "train", "target": "calm", '
+        '"worker_id": "w1"}',
+    ], ids=["number", "null-event"])
+    def test_non_object_or_non_string_jsonl_is_data_error(self, tmp_path, capsys, line):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(line + "\n")
+        assert run(["query", "--atlas", str(bad), "--event", "None", "--dim", "xReact"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("data error: line 1: expected a")
+        assert "Traceback" not in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("command", ["ingest", "stats", "query", "split", "train",
                                          "generate", "eval-bleu", "export-human-eval",

@@ -268,6 +268,28 @@ class TestStats:
         assert r.triples_by_content_type[ContentType.Event] == 5
         assert r.triples_by_content_type[ContentType.Persona] == 1
 
+    def test_each_distinct_text_normalized_once_per_call(self, monkeypatch):
+        import ifthen.graph
+
+        triples = [
+            make_triple("PersonX runs", "xWant", "to rest"),
+            make_triple("PersonX runs", "xIntent", "to rest", worker="w2"),
+            make_triple("PersonX Runs", "xWant", "To rest"),
+            make_triple("PersonX runs", "oReact", "none"),
+            make_triple("PersonX sleeps", "xEffect", "PersonX runs"),
+        ]
+        seen, real = [], ifthen.graph.normalize_node_text
+        monkeypatch.setattr(ifthen.graph, "normalize_node_text",
+                            lambda text: seen.append(text) or real(text))
+        for _ in range(2):  # nothing is kept from one call to the next
+            seen.clear()
+            graph = build_graph(triples)
+            assert sorted(seen) == ["PersonX Runs", "PersonX runs", "PersonX sleeps",
+                                    "To rest", "none", "to rest"]
+            seen.clear()
+            assert graph_stats(graph).triples_total == 4
+            assert sorted(seen) == ["PersonX runs", "to rest"]
+
     def test_matches_naive_oracle_on_random_fixture(self):
         rng = np.random.default_rng(42)
         dims = list(Dimension)

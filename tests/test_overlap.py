@@ -155,6 +155,26 @@ class TestTripleOverlap:
         for group, (dims, rels) in dimension_relation_map().items():
             assert result[group] == overlap_oracle(graph, edges, normalize_concept, dims, rels)
 
+    def test_each_distinct_text_normalized_once_per_call(self, monkeypatch):
+        import ifthen.overlap
+
+        graph = build_graph([
+            make_triple("PersonX eats", "xWant", "to sleep"),
+            make_triple("PersonX eats", "xIntent", "to sleep"),
+            make_triple("PersonX eats", "oReact", "none"),
+            make_triple("PersonX naps", "xEffect", "PersonX eats"),
+            make_triple("PersonX Eats", "xReact", "To sleep"),
+        ])
+        seen, real = [], normalize_concept
+        monkeypatch.setattr(ifthen.overlap, "normalize_concept",
+                            lambda text: seen.append(text) or real(text))
+        edges = {ExternalEdge("Causes", "eats", "sleep")}
+        for _ in range(2):  # nothing is kept from one call to the next
+            seen.clear()
+            assert triple_overlap(graph, edges)[DimensionGroup.Reactions] == 100.0
+            assert sorted(seen) == ["PersonX Eats", "PersonX eats", "PersonX naps",
+                                    "To sleep", "to sleep"]
+
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 1000), extra=st.integers(0, 5))
     def test_monotone_in_edges(self, seed, extra):
