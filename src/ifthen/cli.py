@@ -290,13 +290,32 @@ def _map_events(
     return [Triple(fn(t.event), t.dimension, t.target, t.worker_id, t.split) for t in triples]
 
 
+def _check_merged_splits(source: list[Triple], triples: list[Triple]) -> None:
+    """Refuse two distinct input events that became one event text but
+    came from different splits: the output would carry that text in both."""
+    # Output text -> split -> up to two distinct input texts, enough to
+    # hold one that differs from any given input text.
+    seen: dict[str, dict[Split, list[str]]] = {}
+    for old, new in zip(source, triples):
+        by_split = seen.setdefault(new.event.text, {})
+        for split, texts in by_split.items():
+            other = next((t for t in texts if t != old.event.text), None)
+            if split is not old.split and other is not None:
+                raise IngestError(
+                    f"events {other!r} ({split.value}) and {old.event.text!r} "
+                    f"({old.split.value}) both become {new.event.text!r}")
+        texts = by_split.setdefault(old.split, [])
+        if old.event.text not in texts and len(texts) < 2:
+            texts.append(old.event.text)
+
+
 def _cmd_ingest(args) -> None:
     if args.blank_threshold is not None:
         if not args.freq_table:
             raise UsageError("--blank-threshold needs --freq-table")
         if args.blank_threshold < 1:
             raise UsageError("--blank-threshold must be at least 1")
-    triples = parse_atlas_file(args.input)
+    triples = source = parse_atlas_file(args.input)
     if args.name_lexicon:
         with open(args.name_lexicon, encoding="utf-8") as fh:
             lexicon = load_name_lexicon(fh)
@@ -306,6 +325,7 @@ def _cmd_ingest(args) -> None:
             freq = load_frequency_table(fh)
         triples = _map_events(
             triples, lambda ev: blank_infrequent_args(ev, freq, args.blank_threshold))
+    _check_merged_splits(source, triples)
     with atomic_write(args.out) as fh:
         if args.out.endswith(".jsonl"):
             atlas_io.write_atlas_jsonl(triples, fh)
@@ -482,7 +502,11 @@ def _cmd_gradcheck(args) -> None:
 
     if not args.epsilon > 0:
         raise UsageError("--epsilon must be positive")
-    extra = [f"w{i}" for i in range(max(args.vocab_size - len(RESERVED_TOKENS), 0))]
+    if args.samples < 1:
+        raise UsageError("--samples must be at least 1")
+    if args.vocab_size <= len(RESERVED_TOKENS):
+        raise UsageError(f"--vocab-size must exceed the {len(RESERVED_TOKENS)} reserved tokens")
+    extra = [f"w{i}" for i in range(args.vocab_size - len(RESERVED_TOKENS))]
     vocab = VocabularyMap.from_tokens(list(RESERVED_TOKENS) + extra)
     hidden = args.hidden + (args.hidden % 2)
     config = _model_config(variant=args.variant, seed=args.seed,

@@ -58,10 +58,6 @@ class GenerationList:
         if len(set(texts)) != len(texts):
             raise ValueError("duplicate sequences in generation list")
 
-    @property
-    def texts(self) -> list[str]:
-        return [" ".join(tokens) for tokens, _ in self.entries]
-
 
 def beam_search(
     params: ModelParams,
@@ -143,17 +139,6 @@ def beam_search(
     return GenerationList(
         event=" ".join(tokens), dimension=dimension, beam_width=beam_width, entries=entries
     )
-
-
-def greedy_decode(
-    params: ModelParams,
-    event: str | list[str],
-    dimension: Dimension,
-    max_len: int | None = None,
-) -> tuple[tuple[str, ...], float]:
-    """Argmax decoding; equals beam search at width 1."""
-    result = beam_search(params, event, dimension, beam_width=1, max_len=max_len)
-    return result.entries[0]
 
 
 def nearest_neighbor_predict(

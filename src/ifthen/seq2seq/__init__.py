@@ -9,7 +9,6 @@ from ifthen.seq2seq.model import (
     TrainingInstance,
     batch_losses,
     decode_step,
-    encode,
     init_params,
     initial_decoder_state,
     make_training_instances,
@@ -38,7 +37,6 @@ __all__ = [
     "build_vocab",
     "clip_gradients",
     "decode_step",
-    "encode",
     "encoder_grouping",
     "gradient_check",
     "init_params",

@@ -18,17 +18,28 @@ their pieces. Each cell is three tensors, ``W (3H, I)``, ``U (3H, H)``
 and ``b (3H,)``, whose row blocks are its z, r and n gates; parameters,
 gradients, optimizer state and checkpoints all use this layout. A batch
 is grouped by encoder for the encoder pass and by dimension for the
-decoder pass. Each group's sequences are sorted longest first, padded
-with ``<pad>`` into a ``(T, B)`` id matrix and masked; the valid
-positions are packed time-major, so at step t the live rows are a
-prefix of the group. The input projection of all timesteps is one GEMM,
+decoder pass. Each group's sequences are sorted longest first and their
+positions packed time-major, so at step t the live rows are a prefix of
+the group. The input projection of all timesteps is one GEMM per group,
 leaving only ``U h`` in the recurrence, and every weight gradient is one
 GEMM over all valid timesteps (the cuDNN RNN recipe of Appleyard et al.
 2016, arXiv:1604.01946, on CPU BLAS).
+
+Independent recurrences share one time loop, as cuDNN batches them:
+every decoder of a batch runs in one loop, and so do both directions of
+every encoder. Step t concatenates every group's live rows into one
+block, so one :func:`gru_step` (and one :func:`gru_step_backward`)
+advances all of them, and only the ``U h`` products are taken group by
+group. Each of those is a product of exactly the group's live rows, so
+every bit equals that of the group run alone; finished rows take no
+part, and nothing is padded. :func:`decode_step` is the same step with
+one group.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -78,10 +89,6 @@ class ModelParams:
         self.grouping = encoder_grouping(config.variant)
         self.arrays = arrays
         self.param_order = param_order
-
-    @property
-    def encoder_ids(self) -> list[str]:
-        return sorted(set(self.grouping.values()))
 
     @property
     def decoder_dims(self) -> list[Dimension]:
@@ -171,9 +178,13 @@ def init_params(
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """The logistic function, overwriting ``x``."""
+    np.negative(x, out=x)
     # exp(-x) overflows to inf for x below about -709; the result, 0, is exact.
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+        np.exp(x, out=x)
+    x += 1.0
+    return np.divide(1.0, x, out=x)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -195,68 +206,105 @@ def _output(params: ModelParams, prefix: str, states: np.ndarray) -> np.ndarray:
     return _softmax(logits)
 
 
-def gru_step(cell: GRUCell, gx: np.ndarray, h_prev: np.ndarray):
-    """One gated-recurrent step for a batch of rows (or a single vector).
+def _blocks(u: np.ndarray, hidden: int) -> tuple[np.ndarray, ...]:
+    """A cell's ``U`` as the operands of its recurrent products: ``U_zr^T``
+    and ``U_n^T`` for :func:`gru_step`, ``U_n`` and ``U_zr`` for
+    :func:`gru_step_backward`."""
+    u_zr, u_n = u[: 2 * hidden], u[2 * hidden :]
+    return u_zr.T, u_n.T, u_n, u_zr
 
+
+def _matmul(a: np.ndarray, b, runs) -> np.ndarray:
+    """``a @ b[g]`` for the rows ``lo:hi`` of every run ``(g, lo, hi)``.
+
+    Each run is its own 2-D product, so its rows round as the group alone
+    would: numpy takes gemv for one row, and a BLAS may pick its kernel by
+    the row count (OpenBLAS has a small-matrix kernel), which changes a
+    row's last bits.
+    """
+    if len(runs) == 1:
+        return a @ b[runs[0][0]]
+    out = np.empty((len(a), b[0].shape[1]))
+    for g, lo, hi in runs:
+        np.matmul(a[lo:hi], b[g], out=out[lo:hi])
+    return out
+
+
+def gru_step(blocks, gx: np.ndarray, h_prev: np.ndarray, runs):
+    """One gated-recurrent step of rows that may belong to different cells.
+
+    Rows ``lo:hi`` of each run ``(g, lo, hi)`` use the cell whose
+    :func:`_blocks` are ``blocks[k][g]``; the runs cover every row.
     ``gx`` is the hoisted input projection ``x W^T + b``, stacked z, r, n
     like the cell; only the recurrent ``U h`` products happen here.
     Returns the new state and a backprop cache.
     """
-    hidden = h_prev.shape[-1]
-    zr = _sigmoid(gx[..., : 2 * hidden] + h_prev @ cell.U[: 2 * hidden].T)
-    z, r = zr[..., :hidden], zr[..., hidden:]
-    n = np.tanh(gx[..., 2 * hidden :] + (r * h_prev) @ cell.U[2 * hidden :].T)
+    hidden = h_prev.shape[1]
+    zr = _matmul(h_prev, blocks[0], runs)
+    zr += gx[:, : 2 * hidden]
+    _sigmoid(zr)
+    z, r = zr[:, :hidden], zr[:, hidden:]
+    n = _matmul(r * h_prev, blocks[1], runs)
+    n += gx[:, 2 * hidden :]
+    np.tanh(n, out=n)
     h = (1.0 - z) * n + z * h_prev
     return h, (h_prev, z, r, n)
 
 
-def gru_step_backward(cell: GRUCell, cache, dh: np.ndarray):
-    """Backprop one batched step.
+def gru_step_backward(blocks, cache, dh: np.ndarray, runs):
+    """Backprop one :func:`gru_step`.
 
     Returns the gate pre-activation gradients ``(rows, 3H)``, stacked like
     ``gx``, and the gradient reaching ``h_prev``. Weight gradients are
     formed later from the pre-activation gradients of all steps at once.
     """
     h_prev, z, r, n = cache
-    hidden = h_prev.shape[-1]
+    hidden = h_prev.shape[1]
     dpre = np.empty((len(dh), 3 * hidden))
     dz = dh * (h_prev - n)
     dn = dh * (1.0 - z)
     dn_pre = dpre[:, 2 * hidden :]
     dn_pre[...] = dn * (1.0 - n * n)
-    drh = dn_pre @ cell.U[2 * hidden :]
+    drh = _matmul(dn_pre, blocks[2], runs)
     dr = drh * h_prev
     dpre[:, :hidden] = dz * z * (1.0 - z)
     dpre[:, hidden : 2 * hidden] = dr * r * (1.0 - r)
-    dh_prev = dh * z + drh * r + dpre[:, : 2 * hidden] @ cell.U[: 2 * hidden]
+    dh_prev = dh * z + drh * r + _matmul(dpre[:, : 2 * hidden], blocks[3], runs)
     return dpre, dh_prev
 
 
-class _Batch:
-    """Sequences sorted longest first, padded and masked, packed time-major.
+def _span(rows: np.ndarray):
+    """Increasing row numbers, as a slice when they are consecutive, so
+    that indexing with them takes a view instead of a copy."""
+    if rows[-1] - rows[0] == len(rows) - 1:
+        return slice(int(rows[0]), int(rows[-1]) + 1)
+    return rows
 
-    Step t owns packed rows ``offsets[t]:offsets[t + 1]``, which belong to
-    the first ``offsets[t + 1] - offsets[t]`` sorted sequences; ``pos``
-    is the sorted sequence of each packed row and ``last`` the packed row
-    of each sorted sequence's final position.
+
+class _Batch:
+    """Sequences sorted longest first and packed time-major.
+
+    Step t has ``live[t]`` packed rows, which belong to the first
+    ``live[t]`` sorted sequences; packed row k is position ``steps[k]`` of
+    sorted sequence ``pos[k]``, and ``last`` is the packed row of each
+    sorted sequence's final position.
     """
 
-    def __init__(self, seqs, pad_id: int):
+    def __init__(self, seqs):
         lengths = np.array([len(s) for s in seqs])
         self.order = np.argsort(-lengths, kind="stable")
         self.lengths = lengths[self.order]
-        self.pad_id = pad_id
-        self.mask = np.arange(self.lengths[0])[:, None] < self.lengths
-        offsets = np.concatenate(([0], np.cumsum(self.mask.sum(axis=1))))
-        self.offsets = offsets.tolist()
-        self.pos = np.nonzero(self.mask)[1]
+        mask = np.arange(self.lengths[0])[:, None] < self.lengths
+        self.live = mask.sum(axis=1)
+        self.steps, self.pos = np.nonzero(mask)
+        offsets = np.concatenate(([0], np.cumsum(self.live)))
         self.last = offsets[self.lengths - 1] + np.arange(len(seqs))
+        # Each packed row's place among the sorted sequences laid end to end.
+        self.source = (np.cumsum(self.lengths) - self.lengths)[self.pos] + self.steps
 
     def pack(self, seqs) -> np.ndarray:
-        padded = np.full(self.mask.shape, self.pad_id, dtype=np.intp)
-        for j, i in enumerate(self.order):
-            padded[: self.lengths[j], j] = seqs[i]
-        return padded[self.mask]
+        ids = itertools.chain.from_iterable(seqs[i] for i in self.order.tolist())
+        return np.fromiter(ids, dtype=np.intp, count=self.lengths.sum())[self.source]
 
     def unsort(self, rows: np.ndarray) -> np.ndarray:
         out = np.empty_like(rows)
@@ -264,112 +312,199 @@ class _Batch:
         return out
 
 
+@functools.lru_cache(maxsize=1024)
+def _layout(live: tuple[tuple[int, ...], ...]):
+    """Where a :class:`_Recurrence` keeps the rows of groups whose live
+    counts per step are ``live[g]``.
+
+    Block 0 of its ``states`` holds the initial states and block t + 1 the
+    states after step t, each block group by group. Returns the first row
+    of every group's run of every block, the rows of each group's initial
+    states, and per step the block's bounds, its runs ``(g, lo, hi)``
+    counted from the block's start, and the rows of its previous states.
+    Cached: generation encodes one event per call, and lengths repeat.
+    """
+    counts = np.zeros((max(map(len, live)) + 1, len(live)), dtype=np.intp)
+    for g, per_step in enumerate(live):
+        counts[1 : len(per_step) + 1, g] = per_step
+    counts[0] = counts[1]
+    starts = np.cumsum(counts).reshape(counts.shape) - counts
+    # A run's previous states sit as far back as its group's run moved.
+    moved = starts[1:] - starts[:-1]
+    first = int(counts[0].sum())
+    prev = np.arange(first, starts[-1, -1] + counts[-1, -1]) - np.repeat(moved.ravel(),
+                                                                        counts[1:].ravel())
+    starts.flags.writeable = prev.flags.writeable = False
+    firsts, rows = starts.tolist(), counts.tolist()
+    bounds, runs, prevs = [], [], []
+    for run_starts, run_rows, shifts in zip(firsts[1:], rows[1:], moved.tolist()):
+        lo, hi = run_starts[0], run_starts[-1] + run_rows[-1]
+        bounds.append((lo, hi))
+        runs.append(tuple((g, s - lo, s - lo + n)
+                          for g, (s, n) in enumerate(zip(run_starts, run_rows)) if n))
+        shift = {d for d, n in zip(shifts, run_rows) if n}
+        prevs.append(slice(lo - min(shift), hi - min(shift)) if len(shift) == 1
+                     else prev[lo - first : hi - first])
+    h0_rows = tuple(slice(s, s + n) for s, n in zip(firsts[0], rows[0]))
+    return starts, h0_rows, tuple(bounds), tuple(runs), tuple(prevs)
+
+
 class _Recurrence:
-    """One cell run over a packed batch; keeps what its backward pass needs."""
+    """Cells run side by side, each over its own packed batch, in one time loop.
 
-    def __init__(self, params: ModelParams, prefix: str, ids, offsets, h0):
-        self.prefix = prefix
-        self.cell = params.cell(prefix)
-        self.ids = ids
-        self.offsets = offsets
-        self.x = params.arrays["embedding"][ids]
-        gx = self.x @ self.cell.W.T + self.cell.b
-        self.states = np.empty((len(ids), h0.shape[1]))
+    Group g runs the cell ``prefixes[g]`` over ``batches[g]``, fed the
+    packed ids ``ids[g]`` and started from ``h0[g]``, sorted like the
+    batch; all cells share one hidden size H. Rows are laid out step by
+    step and, within a step, group by group, each group's live rows in
+    sorted order. So step t is one block of rows, one :func:`gru_step`
+    (and one :func:`gru_step_backward` on the way back) covers every
+    group, each group's rows are one run of the block, and there is no
+    padding. ``states`` holds the initial states, then each step's block.
+    """
+
+    def __init__(self, params: ModelParams, prefixes, batches, ids, h0):
+        self.prefixes, self.batches, self.ids = prefixes, batches, ids
+        cells = [params.cell(prefix) for prefix in prefixes]
+        self.w = [cell.W for cell in cells]
+        hidden = cells[0].U.shape[1]
+        self.blocks = list(zip(*(_blocks(cell.U, hidden) for cell in cells)))
+        starts, self.h0_rows, self.bounds, self.runs, self.prev = _layout(
+            tuple(tuple(b.live.tolist()) for b in batches))
+        # Each group's packed rows.
+        self.index = [_span(starts[b.steps + 1, g] + b.pos) for g, b in enumerate(batches)]
+        self.x = [params.arrays["embedding"][i] for i in ids]
+        gx = np.empty((self.bounds[-1][1], 3 * hidden))
+        for index, x, cell in zip(self.index, self.x, cells):
+            gx[index] = x @ cell.W.T + cell.b
+        self.states = states = np.empty((self.bounds[-1][1], hidden))
+        states[: self.bounds[0][0]] = np.concatenate(h0)
         self.caches = []
-        prev = h0
-        for lo, hi in zip(offsets, offsets[1:]):
-            h, cache = gru_step(self.cell, gx[lo:hi], prev[: hi - lo])
-            self.states[lo:hi] = h
+        for (lo, hi), runs, rows in zip(self.bounds, self.runs, self.prev):
+            h, cache = gru_step(self.blocks, gx[lo:hi], states[rows], runs)
+            states[lo:hi] = h
             self.caches.append(cache)
-            prev = self.states[lo:hi]
 
-    def backward(self, dstates: np.ndarray, grads) -> np.ndarray:
-        """Accumulate the gradients into ``grads``; return the initial state's.
+    def packed(self, g: int) -> np.ndarray:
+        """Group g's states after each step, packed like its batch."""
+        return self.states[self.index[g]]
 
-        ``dstates`` holds the gradient reaching each state from outside
-        the recurrence; it is overwritten.
+    def backward(self, dstates, grads) -> list[np.ndarray]:
+        """Accumulate the gradients into ``grads``; return each group's
+        initial-state gradient, sorted like its batch.
+
+        ``dstates[g]`` is the gradient reaching group g's states from
+        outside the recurrence, packed like its batch.
         """
-        offsets = self.offsets
-        dpre = np.empty((len(self.ids), self.cell.b.size))
-        for t in reversed(range(len(self.caches))):
-            lo, hi = offsets[t], offsets[t + 1]
-            dpre[lo:hi], dh_prev = gru_step_backward(self.cell, self.caches[t], dstates[lo:hi])
-            if t:
-                dstates[offsets[t - 1] : offsets[t - 1] + hi - lo] += dh_prev
-        h_prev = np.concatenate([c[0] for c in self.caches])
-        rh = np.concatenate([c[2] * c[0] for c in self.caches])
-        zr = 2 * h_prev.shape[1]
-        grads[f"{self.prefix}/W"] += dpre.T @ self.x
-        g_u = grads[f"{self.prefix}/U"]
-        g_u[:zr] += dpre[:, :zr].T @ h_prev
-        g_u[zr:] += dpre[:, zr:].T @ rh
-        grads[f"{self.prefix}/b"] += dpre.sum(axis=0)
-        np.add.at(grads["embedding"], self.ids, dpre @ self.cell.W)
-        return dh_prev
+        ds = np.empty(self.states.shape)
+        ds[: self.bounds[0][0]] = -0.0  # x + -0.0 is x, bit for bit
+        for index, d in zip(self.index, dstates):
+            ds[index] = d
+        hidden = ds.shape[1]
+        dpre = np.empty((len(ds), 3 * hidden))
+        steps = zip(self.bounds, self.runs, self.prev, self.caches)
+        for (lo, hi), runs, rows, cache in reversed(list(steps)):
+            dpre[lo:hi], dh_prev = gru_step_backward(self.blocks, cache, ds[lo:hi], runs)
+            ds[rows] += dh_prev
+        h_prev = np.empty_like(ds)
+        rh = np.empty_like(ds)
+        for (lo, hi), (hp, _, r, _) in zip(self.bounds, self.caches):
+            h_prev[lo:hi] = hp
+            np.multiply(r, hp, out=rh[lo:hi])
+        zr = 2 * hidden
+        for g, prefix in enumerate(self.prefixes):
+            index = self.index[g]
+            d = dpre[index]
+            grads[f"{prefix}/W"] += d.T @ self.x[g]
+            g_u = grads[f"{prefix}/U"]
+            g_u[:zr] += d[:, :zr].T @ h_prev[index]
+            g_u[zr:] += d[:, zr:].T @ rh[index]
+            grads[f"{prefix}/b"] += d.sum(axis=0)
+            np.add.at(grads["embedding"], self.ids[g], d @ self.w[g])
+        return [ds[rows] for rows in self.h0_rows]
 
 
 class _Encoder:
-    """Bidirectional encoding of a group of events sharing one encoder,
-    bridged to each event's initial decoder state ``s0``."""
+    """Bidirectional encodings of events grouped by encoder id: both
+    directions of every encoder run in one recurrence, and each event's
+    concatenated final states ``h`` are bridged to its initial decoder
+    state ``s0``, both in input order per encoder."""
 
-    def __init__(self, params: ModelParams, encoder_id: str, events):
-        if any(len(e) == 0 for e in events):
+    def __init__(self, params: ModelParams, events: dict[str, list]):
+        if any(len(e) == 0 for group in events.values() for e in group):
             raise ValueError("cannot encode an empty event sequence")
-        self.batch = b = _Batch(events, params.vocab.pad_id)
-        h0 = np.zeros((len(events), params.config.enc_hidden // 2))
-        prefix = f"encoder/{encoder_id}"
-        self.fwd = _Recurrence(params, f"{prefix}/fwd", b.pack(events), b.offsets, h0)
-        self.bwd = _Recurrence(params, f"{prefix}/bwd", b.pack([e[::-1] for e in events]),
-                               b.offsets, h0)
-        # Final forward and backward states, concatenated, in input order.
-        self.h = b.unsort(np.concatenate((self.fwd.states[b.last], self.bwd.states[b.last]),
-                                         axis=1))
-        self.bridge = f"bridge/{encoder_id}"
-        self.w_b = params.arrays[f"{self.bridge}/W"]
-        self.s0 = self.h @ self.w_b.T + params.arrays[f"{self.bridge}/b"]
+        self.batches = {eid: _Batch(group) for eid, group in events.items()}
+        prefixes, batches, ids = [], [], []
+        for eid, group in events.items():
+            b = self.batches[eid]
+            for direction, seqs in (("fwd", group), ("bwd", [e[::-1] for e in group])):
+                prefixes.append(f"encoder/{eid}/{direction}")
+                batches.append(b)
+                ids.append(b.pack(seqs))
+        half = params.config.enc_hidden // 2
+        self.rnn = _Recurrence(params, prefixes, batches, ids,
+                               [np.zeros((len(b.lengths), half)) for b in batches])
+        self.w_b = {eid: params.arrays[f"bridge/{eid}/W"] for eid in events}
+        self.h, self.s0 = {}, {}
+        for k, (eid, b) in enumerate(self.batches.items()):
+            final = [self.rnn.packed(g)[b.last] for g in (2 * k, 2 * k + 1)]
+            self.h[eid] = b.unsort(np.concatenate(final, axis=1))
+            self.s0[eid] = self.h[eid] @ self.w_b[eid].T + params.arrays[f"bridge/{eid}/b"]
 
-    def backward(self, ds0: np.ndarray, grads) -> None:
-        """Accumulate the gradients reaching ``s0``, in input order, into ``grads``."""
-        b = self.batch
-        grads[f"{self.bridge}/W"] += ds0.T @ self.h
-        grads[f"{self.bridge}/b"] += ds0.sum(axis=0)
-        dh = (ds0 @ self.w_b)[b.order]
-        half = dh.shape[1] // 2
-        for rnn, d_final in ((self.fwd, dh[:, :half]), (self.bwd, dh[:, half:])):
-            dstates = np.zeros_like(rnn.states)
-            dstates[b.last] = d_final
-            rnn.backward(dstates, grads)
+    def backward(self, ds0: dict[str, np.ndarray], grads) -> None:
+        """Accumulate the gradients reaching each encoder's ``s0`` into ``grads``."""
+        dstates = []
+        for eid, b in self.batches.items():
+            grads[f"bridge/{eid}/W"] += ds0[eid].T @ self.h[eid]
+            grads[f"bridge/{eid}/b"] += ds0[eid].sum(axis=0)
+            dh = (ds0[eid] @ self.w_b[eid])[b.order]
+            half = dh.shape[1] // 2
+            for d_final in (dh[:, :half], dh[:, half:]):
+                d = np.zeros((len(b.pos), half))
+                d[b.last] = d_final
+                dstates.append(d)
+        self.rnn.backward(dstates, grads)
 
 
 class _Decoder:
-    """Teacher-forced decoding of one dimension's group of targets."""
+    """Teacher-forced decoding of targets grouped by dimension, from each
+    dimension's initial states ``s0`` in input order; every dimension's
+    decoder runs in one recurrence."""
 
-    def __init__(self, params: ModelParams, dimension: Dimension, targets, s0: np.ndarray):
-        bos, eos = params.vocab.bos_id, params.vocab.eos_id
-        inputs = [(bos, *t) for t in targets]
-        self.batch = b = _Batch(inputs, params.vocab.pad_id)
-        self.golds = b.pack([(*t, eos) for t in targets])
-        prefix = f"decoder/{dimension.value}"
-        self.w_o = params.arrays[f"{prefix}/W_o"]
-        self.rnn = _Recurrence(params, prefix, b.pack(inputs), b.offsets, s0[b.order])
-        self.probs = _output(params, prefix, self.rnn.states)
+    def __init__(self, params: ModelParams, targets: dict[Dimension, list], s0):
+        vocab = params.vocab
+        self.params = params
+        self.golds, batches, ids, h0 = [], [], [], []
+        for dim, group in targets.items():
+            inputs = [(vocab.bos_id, *t) for t in group]
+            b = _Batch(inputs)
+            batches.append(b)
+            ids.append(b.pack(inputs))
+            h0.append(s0[dim][b.order])
+            self.golds.append(b.pack([(*t, vocab.eos_id) for t in group]))
+        self.rnn = _Recurrence(params, [f"decoder/{d.value}" for d in targets], batches, ids, h0)
+
+    def output(self, g: int, grads=None, weight: float = 1.0):
+        """Group g's instance losses, in input order, and with ``grads`` the
+        gradient reaching its states (packed), after accumulating ``weight``
+        times the gradient of every instance loss through the output layer."""
+        b, golds, prefix = self.rnn.batches[g], self.golds[g], self.rnn.prefixes[g]
+        states = self.rnn.packed(g)
+        probs = _output(self.params, prefix, states)
+        rows = np.arange(len(golds))
         # A gold probability that underflowed to 0 gives an infinite loss,
         # which train() reports as a NumericError.
         with np.errstate(divide="ignore"):
-            nll = -np.log(self.probs[np.arange(len(self.golds)), self.golds])
+            nll = -np.log(probs[rows, golds])
         # Per instance: mean token cross entropy, summed in time order.
-        self.losses = b.unsort(np.bincount(b.pos, weights=nll) / b.lengths)
-
-    def backward(self, grads, weight: float) -> np.ndarray:
-        """Accumulate ``weight`` times the gradient of every instance loss;
-        return the gradient of the initial states, in input order."""
-        b, prefix = self.batch, self.rnn.prefix
-        dlogits = self.probs
-        dlogits[np.arange(len(self.golds)), self.golds] -= 1.0
+        losses = b.unsort(np.bincount(b.pos, weights=nll) / b.lengths)
+        if grads is None:
+            return losses, None
+        dlogits = probs
+        dlogits[rows, golds] -= 1.0
         dlogits *= (weight / b.lengths)[b.pos, None]
-        grads[f"{prefix}/W_o"] += dlogits.T @ self.rnn.states
+        grads[f"{prefix}/W_o"] += dlogits.T @ states
         grads[f"{prefix}/b_o"] += dlogits.sum(axis=0)
-        return b.unsort(self.rnn.backward(dlogits @ self.w_o, grads))
+        return losses, dlogits @ self.params.arrays[f"{prefix}/W_o"]
 
 
 def _encoder_of(params: ModelParams, dimension) -> tuple[Dimension, str]:
@@ -381,12 +516,12 @@ def _encoder_of(params: ModelParams, dimension) -> tuple[Dimension, str]:
     return dimension, params.grouping[dimension]
 
 
-def _encode_batch(params: ModelParams, batch: list[TrainingInstance]):
-    """The forward step shared by scoring and training.
+def _forward(params: ModelParams, batch: list[TrainingInstance]):
+    """The forward pass shared by scoring and training.
 
-    Groups the batch by dimension and by encoder and runs each encoder with
-    its bridge. Returns the rows of each dimension, each encoder with its
-    rows, and every row's initial decoder state.
+    Groups the batch by dimension and by encoder, encodes and bridges every
+    event, and runs every decoder. Returns the rows of each dimension and
+    of each encoder, the encoder and the decoder.
     """
     by_dim: dict[Dimension, list[int]] = {}
     by_encoder: dict[str, list[int]] = {}
@@ -395,22 +530,23 @@ def _encode_batch(params: ModelParams, batch: list[TrainingInstance]):
         by_dim.setdefault(dim, []).append(k)
         by_encoder.setdefault(eid, []).append(k)
 
+    enc = _Encoder(params, {eid: [batch[k].event_ids for k in rows]
+                            for eid, rows in by_encoder.items()})
     s0 = np.empty((len(batch), params.config.dec_hidden))
-    encoders = {}
     for eid, rows in by_encoder.items():
-        enc = _Encoder(params, eid, [batch[k].event_ids for k in rows])
-        encoders[eid] = rows, enc
-        s0[rows] = enc.s0
-    return by_dim, encoders, s0
+        s0[rows] = enc.s0[eid]
+    dec = _Decoder(params, {dim: [batch[k].target_ids for k in rows]
+                            for dim, rows in by_dim.items()},
+                   {dim: s0[rows] for dim, rows in by_dim.items()})
+    return by_dim, by_encoder, enc, dec
 
 
 def batch_losses(params: ModelParams, batch: list[TrainingInstance]) -> np.ndarray:
     """Each instance's mean token cross entropy, in batch order, forward only."""
-    by_dim, _, s0 = _encode_batch(params, batch)
+    by_dim, _, _, dec = _forward(params, batch)
     losses = np.empty(len(batch))
-    for dim, rows in by_dim.items():
-        targets = [batch[k].target_ids for k in rows]
-        losses[rows] = _Decoder(params, dim, targets, s0[rows]).losses
+    for g, rows in enumerate(by_dim.values()):
+        losses[rows] = dec.output(g)[0]
     return losses
 
 
@@ -427,22 +563,17 @@ def batch_loss_and_grads(
     that dimension's decoder and its shared encoder. Returns each
     instance's loss in batch order, equal to :func:`batch_losses`.
     """
-    by_dim, encoders, s0 = _encode_batch(params, batch)
+    by_dim, by_encoder, enc, dec = _forward(params, batch)
     losses = np.empty(len(batch))
-    ds0 = np.empty_like(s0)
-    for dim, rows in by_dim.items():
-        dec = _Decoder(params, dim, [batch[k].target_ids for k in rows], s0[rows])
-        losses[rows] = dec.losses
-        ds0[rows] = dec.backward(grads, 1.0 / (len(by_dim) * len(rows)))
-
-    for rows, enc in encoders.values():
-        enc.backward(ds0[rows], grads)
+    dstates = []
+    for g, rows in enumerate(by_dim.values()):
+        losses[rows], d = dec.output(g, grads, 1.0 / (len(by_dim) * len(rows)))
+        dstates.append(d)
+    ds0 = np.empty((len(batch), params.config.dec_hidden))
+    for rows, b, d in zip(by_dim.values(), dec.rnn.batches, dec.rnn.backward(dstates, grads)):
+        ds0[rows] = b.unsort(d)
+    enc.backward({eid: ds0[rows] for eid, rows in by_encoder.items()}, grads)
     return losses
-
-
-def encode(params: ModelParams, encoder_id: str, event_ids) -> np.ndarray:
-    """Bidirectional encoding: concatenated final forward/backward states."""
-    return _Encoder(params, encoder_id, [event_ids]).h[0]
 
 
 def initial_decoder_state(
@@ -450,7 +581,7 @@ def initial_decoder_state(
 ) -> np.ndarray:
     """Encode the event with the dimension's encoder and bridge to h_dec."""
     _, eid = _encoder_of(params, dimension)
-    return _Encoder(params, eid, [event_ids]).s0[0]
+    return _Encoder(params, {eid: [event_ids]}).s0[eid][0]
 
 
 def decode_step(
@@ -464,15 +595,18 @@ def decode_step(
     Takes one state ``(H,)`` and one previous id, giving ``(V,)`` and
     ``(H,)``, or a batch of states ``(B, H)`` and ``(B,)`` ids, giving
     ``(B, V)`` and ``(B, H)``: row i is that row's own step. The step is
-    one time step of the training engine's decoder recurrence.
+    the training recurrence's :func:`gru_step` and output layer.
     """
     prefix = f"decoder/{Dimension(dimension).value}"
-    ids = np.atleast_1d(prev_token_id)
-    rnn = _Recurrence(params, prefix, ids, [0, len(ids)], np.atleast_2d(hidden_state))
-    probs = _output(params, prefix, rnn.states)
+    cell = params.cell(prefix)
+    states = np.atleast_2d(hidden_state)
+    gx = params.arrays["embedding"][np.atleast_1d(prev_token_id)] @ cell.W.T + cell.b
+    blocks = list(zip(_blocks(cell.U, states.shape[1])))
+    states, _ = gru_step(blocks, gx, states, [(0, 0, len(states))])
+    probs = _output(params, prefix, states)
     if np.ndim(hidden_state) == 1:
-        return probs[0], rnn.states[0]
-    return probs, rnn.states
+        return probs[0], states[0]
+    return probs, states
 
 
 def sequence_loss(params: ModelParams, instance: TrainingInstance) -> float:

@@ -16,12 +16,18 @@ import pytest
 
 from conftest import make_triple, toy_params
 
-from oracles import bleu2_oracle, enumerate_sequences, overlap_oracle, stats_oracle
+from oracles import (
+    beam_search_reference,
+    bleu2_oracle,
+    enumerate_sequences,
+    overlap_oracle,
+    stats_oracle,
+)
 
 from test_generation import model_step_logprobs
 
 from ifthen.evaluation import avg_topk_bleu, bleu2, is_instance_evaluable
-from ifthen.generation import beam_search, greedy_decode
+from ifthen.generation import beam_search
 from ifthen.graph import AtlasGraph, EventPhrase, InferenceTarget, build_graph, graph_stats
 from ifthen.ingest import content_key, default_stopwords, split_events
 from ifthen.overlap import (
@@ -212,7 +218,7 @@ def test_sharing_topology():
         (ModelVariant.EventPrePost, 2, 8),
     ):
         params = toy_params(variant)
-        assert len(params.encoder_ids) == n_enc
+        assert len(set(params.grouping.values())) == n_enc
         assert len(params.decoder_dims) == n_dec
     assert Dimension.xAttr not in toy_params(ModelVariant.EventPrePost).decoder_dims
 
@@ -243,9 +249,8 @@ def test_beam_correctness():
     mask[params.vocab.eos_id] = 0.0
     params.arrays[f"decoder/{dim.value}/b_o"] += mask
 
-    oracle = enumerate_sequences(
-        model_step_logprobs(params, dim, [8, 9]), params.vocab.eos_id, max_len=3
-    )
+    step = model_step_logprobs(params, dim, [8, 9])
+    oracle = enumerate_sequences(step, params.vocab.eos_id, max_len=3)
     width = len(oracle)
     result = beam_search(params, ["w0", "w1"], dim, beam_width=width, max_len=3)
     best = sorted(oracle.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -254,9 +259,13 @@ def test_beam_correctness():
         assert abs(o_score - score) < 1e-9
 
     single = beam_search(params, ["w0", "w1"], dim, beam_width=1, max_len=3)
-    assert single.entries == (greedy_decode(params, ["w0", "w1"], dim, max_len=3),)
+    vocab = params.vocab
+    (ids, score), = beam_search_reference(lambda consumed: step(consumed[1:]), vocab.bos_id,
+                                          vocab.eos_id, vocab.unk_id, 1, 3, False)
+    (tokens, single_score), = single.entries
+    assert tokens == tuple(vocab.decode(list(ids))) and abs(single_score - score) < 1e-9
     assert time.monotonic() - start < 1.0
-    ok(f"beam search: exhaustive width ({width}) equals brute force; width 1 = greedy")
+    ok(f"beam search: exhaustive width ({width}) equals brute force; width 1 = reference")
 
 
 def test_bleu_oracle():

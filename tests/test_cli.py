@@ -105,6 +105,30 @@ class TestDataCommands:
         assert out.read_text() == expected.getvalue()
         assert "PersonX runs ___" in expected.getvalue()
 
+    @pytest.mark.parametrize("rows,flags,message", [
+        ("Alice naps\txReact\tcalm\ttrain\tw1\nBob naps\txReact\ttired\ttest\tw2\n",
+         ["--name-lexicon", "{tmp}/names.txt"],
+         "events 'Alice naps' (train) and 'Bob naps' (test) both become 'PersonX naps'"),
+        ("PersonX eats pizza\txWant\tmore\ttrain\tw1\n"
+         "PersonX eats pizza\txNeed\tfood\tdev\tw1\n"
+         "PersonX eats pasta\txWant\tsleep\ttrain\tw2\n"
+         "PersonX eats pasta\txNeed\ta fork\tdev\tw2\n",
+         ["--freq-table", "{tmp}/freq.tsv", "--blank-threshold", "5"],
+         "events 'PersonX eats pizza' (dev) and 'PersonX eats pasta' (train) both become "
+         "'PersonX eats ___'"),
+    ], ids=["names", "blanking"])
+    def test_ingest_refuses_merging_events_of_different_splits(self, tmp_path, capsys, rows,
+                                                               flags, message):
+        src = tmp_path / "raw.tsv"
+        src.write_text(rows)
+        (tmp_path / "names.txt").write_text("alice\nbob\n")
+        (tmp_path / "freq.tsv").write_text("eats\tpizza\t1\tstories\neats\tpasta\t1\tstories\n")
+        out = tmp_path / "clean.tsv"
+        assert run(["ingest", "--in", str(src), "--out", str(out)]
+                   + [f.format(tmp=tmp_path) for f in flags]) == 2
+        assert capsys.readouterr().err == f"data error: {message}\n"
+        assert not out.exists() and not (tmp_path / "clean.tsv.config.json").exists()
+
     def test_stats_report(self, atlas, tmp_path, capsys):
         out = tmp_path / "stats.json"
         assert run(["stats", "--atlas", atlas, "--out", str(out)]) == 0
@@ -219,6 +243,11 @@ class TestModelCommands:
     def test_gradcheck(self, capsys):
         assert run(["gradcheck", "--variant", "event-invol", "--samples", "50"]) == 0
         assert "max relative gradient error" in capsys.readouterr().out
+
+    def test_gradcheck_smallest_flags(self, capsys):
+        # One sample per category and one token beyond the reserved ones.
+        assert run(["gradcheck", "--samples", "1", "--vocab-size", "9"]) == 0
+        assert capsys.readouterr().out.startswith("max relative gradient error")
 
 
 class TestEvalCommands:
@@ -539,6 +568,10 @@ class TestExitCodes:
         (["gradcheck", "--epsilon", "0"], 1),
         (["gradcheck", "--epsilon=-1e-4"], 1),
         (["gradcheck", "--hidden", "0"], 1),
+        (["gradcheck", "--samples", "0"], 1),
+        (["gradcheck", "--samples", "-3"], 1),
+        (["gradcheck", "--vocab-size", "0"], 1),
+        (["gradcheck", "--vocab-size", "8"], 1),
         (["generate", "--ckpt", "{tmp}/m.ckpt", "--atlas", "{atlas}", "--max-len", "0",
           "--out", "{tmp}/g.jsonl"], 1),
         (["generate", "--ckpt", "{tmp}/m.ckpt", "--atlas", "{atlas}", "--max-len", "-3",
@@ -563,6 +596,8 @@ class TestExitCodes:
           f"--smoothing-epsilon={value}", "--out", "{tmp}/b.json"], 1)
         for value in ["0", "-0.5", "nan", "inf"]
     ], ids=["gradcheck-epsilon-0", "gradcheck-epsilon-negative", "gradcheck-hidden-0",
+            "gradcheck-samples-0", "gradcheck-samples-negative", "gradcheck-vocab-size-0",
+            "gradcheck-vocab-size-reserved-only",
             "generate-max-len-0", "generate-max-len-negative", "split-ratios-not-numbers",
             "split-ratios-negative", "split-ratios-not-summing-to-1",
             "ingest-blank-threshold-0", "ingest-blank-threshold-without-freq-table",

@@ -15,7 +15,6 @@ from oracles import beam_search_reference, enumerate_sequences, nearest_neighbor
 from ifthen.generation import (
     GenerationList,
     beam_search,
-    greedy_decode,
     nearest_neighbor_predict,
     read_generations,
     write_generations,
@@ -77,10 +76,16 @@ class TestBeamSearch:
                 assert entry[1] <= wide_entry[1] + 1e-12
 
     def test_width_one_equals_greedy(self):
+        # Width 1 keeps one hypothesis per step, as the reference does.
         params = toy_params(seed=11)
+        vocab = params.vocab
         for dim in params.decoder_dims[:3]:
+            step = model_step_logprobs(params, dim, vocab.encode(["w2", "w3"]))
+            expected = beam_search_reference(lambda consumed: step(consumed[1:]), vocab.bos_id,
+                                             vocab.eos_id, vocab.unk_id, 1,
+                                             params.config.max_decode_len, False)
             result = beam_search(params, ["w2", "w3"], dim, beam_width=1)
-            assert result.entries == (greedy_decode(params, ["w2", "w3"], dim),)
+            assert_matches(result, [(tuple(vocab.decode(list(ids))), s) for ids, s in expected])
 
     def test_scores_sorted_descending(self):
         params = toy_params(seed=12)
@@ -304,7 +309,12 @@ class TestGenerationList:
         gl = GenerationList(
             event="e", dimension=Dimension.xWant, beam_width=6, entries=entries
         )
-        assert gl.texts == [f"t{i}" for i in range(len(scores))]
+        assert [" ".join(tokens) for tokens, _ in gl.entries] == [
+            f"t{i}" for i in range(len(scores))]
+
+
+def texts(result):
+    return [" ".join(tokens) for tokens, _ in result.entries]
 
 
 def assert_matches(result, expected):
@@ -335,7 +345,7 @@ class TestNearestNeighbor:
         result = nearest_neighbor_predict(
             self.graph(), self.embeddings(), "PersonX walks", Dimension.xWant, k=3
         )
-        assert result.texts == ["to rest", "to win", "to dream"]
+        assert texts(result) == ["to rest", "to win", "to dream"]
         # Exact self-match has cosine similarity 1.
         assert abs(result.entries[0][1] - 1.0) < 1e-12
         e = self.embeddings()
@@ -349,7 +359,7 @@ class TestNearestNeighbor:
             self.graph(), self.embeddings(), "qq zz", Dimension.xWant, k=3
         )
         # personx runs < personx sleeps < personx walks lexicographically.
-        assert result.texts == ["to win", "to dream", "to rest"]
+        assert texts(result) == ["to win", "to dream", "to rest"]
         assert all(s == 0.0 for _, s in result.entries)
 
     def test_k_caps_results(self):
@@ -420,7 +430,7 @@ class TestNearestNeighbor:
         e = embeddings
         v = (e["personx"] + e["walks"]) / 3
         expected = float(np.dot(e["walks"], v) / (np.linalg.norm(e["walks"]) * np.linalg.norm(v)))
-        assert result.texts == ["to rest", "to dream"]
+        assert texts(result) == ["to rest", "to dream"]
         assert abs(result.entries[0][1] - expected) < 1e-12
 
     def test_events_without_a_cosine_left_out(self):
@@ -435,7 +445,7 @@ class TestNearestNeighbor:
             make_triple("PersonX runs", "xWant", "to win", "train"),
         ])
         result = nearest_neighbor_predict(graph, embeddings, "walks", Dimension.xWant, k=5)
-        assert result.texts == ["to rest", "to win"]
+        assert texts(result) == ["to rest", "to win"]
         assert [s for _, s in result.entries] == [1.0, pytest.approx(0.6, abs=1e-12)]
         assert_matches(result, nearest_neighbor_reference(
             graph, embeddings, "walks", Dimension.xWant, 5))
@@ -447,7 +457,7 @@ class TestNearestNeighbor:
             make_triple("PersonX sleeps", "xWant", "to dream", "train"),
         ])
         result = nearest_neighbor_predict(graph, embeddings, "sleeps", Dimension.xWant, k=5)
-        assert result.texts == ["to dream", "to rest"]
+        assert texts(result) == ["to dream", "to rest"]
         assert all(s == 0.0 for _, s in result.entries)
         assert_matches(result, nearest_neighbor_reference(
             graph, embeddings, "sleeps", Dimension.xWant, 5))
@@ -466,7 +476,7 @@ class TestNearestNeighbor:
             after = nearest_neighbor_predict(graph, embeddings, query, Dimension.xWant, k=3)
             assert_matches(after, nearest_neighbor_reference(
                 graph, embeddings, query, Dimension.xWant, 3))
-        assert after.texts == ["to dream", "to win", "to rest"]
+        assert texts(after) == ["to dream", "to win", "to rest"]
 
 
 # A small pool makes ties common: events with the same known tokens in

@@ -7,16 +7,30 @@ from hypothesis import strategies as st
 
 from conftest import random_instance, toy_params
 
-from ifthen.seq2seq import ModelConfig, ModelVariant, encoder_grouping
+from ifthen.seq2seq import ModelConfig, ModelVariant, encoder_grouping, model
 from ifthen.seq2seq.model import (
     ModelParams,
     TrainingInstance,
+    _Batch,
+    _Decoder,
+    _Encoder,
+    _output,
+    _Recurrence,
+    batch_loss_and_grads,
     decode_step,
-    encode,
     initial_decoder_state,
     sequence_loss,
 )
 from ifthen.taxonomy import CausalCategory, Dimension, Subject, Volition, classify_dimension
+
+
+def encode(params, encoder_id, event_ids):
+    """The event's concatenated final forward and backward encoder states."""
+    return _Encoder(params, {encoder_id: [event_ids]}).h[encoder_id][0]
+
+
+def first_encoder(params):
+    return min(params.grouping.values())
 
 
 def zeroed(params):
@@ -84,7 +98,7 @@ class TestTopology:
     )
     def test_parameter_group_counts(self, variant, encoders, decoders):
         params = toy_params(variant)
-        assert len(params.encoder_ids) == encoders
+        assert len(set(params.grouping.values())) == encoders
         assert len(params.decoder_dims) == decoders
         enc_arrays = {n for n in params.arrays if n.startswith("encoder/")}
         assert len(enc_arrays) == encoders * 2 * 3
@@ -101,24 +115,24 @@ class TestTopology:
 class TestEncode:
     def test_zero_params_zero_state(self):
         params = zeroed(toy_params())
-        h = encode(params, params.encoder_ids[0], [8, 9, 10])
+        h = encode(params, first_encoder(params), [8, 9, 10])
         assert np.all(h == 0.0)
 
     def test_empty_sequence_error(self):
         params = toy_params()
         with pytest.raises(ValueError):
-            encode(params, params.encoder_ids[0], [])
+            encode(params, first_encoder(params), [])
 
     def test_repeated_token_changes_state(self):
         params = toy_params(seed=5)
-        eid = params.encoder_ids[0]
+        eid = first_encoder(params)
         h1 = encode(params, eid, [9])
         h2 = encode(params, eid, [9, 9])
         assert not np.allclose(h1, h2)
 
     def test_reversal_swaps_halves_with_tied_cells(self):
         params = toy_params(seed=3)
-        eid = params.encoder_ids[0]
+        eid = first_encoder(params)
         for key in ("W", "U", "b"):
             params.arrays[f"encoder/{eid}/bwd/{key}"][:] = params.arrays[
                 f"encoder/{eid}/fwd/{key}"
@@ -225,6 +239,134 @@ class TestDecodeStep:
         probs, _ = decode_step(params, dim, state, prev)
         assert np.all(probs >= 0)
         assert abs(probs.sum() - 1.0) < 1e-6
+
+
+def ragged_groups(data, params, groups, most_rows):
+    """Per dimension, a ragged set of id sequences; some groups have one
+    row, and lengths vary so that groups finish at different steps."""
+    ids = st.integers(0, len(params.vocab) - 1)
+    dims = data.draw(st.lists(st.sampled_from(params.decoder_dims), min_size=groups,
+                              max_size=groups, unique=True))
+    return {dim: [tuple(data.draw(st.lists(ids, min_size=0, max_size=6)))
+                  for _ in range(data.draw(st.sampled_from([1, 1, 2, most_rows])))]
+            for dim in dims}
+
+
+def assert_grads_equal(got, want):
+    for name in want:
+        np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+
+
+class TestGroupedRecurrence:
+    """One time loop over several cells equals each cell run alone, bit for bit.
+
+    Rows of one group at one step are one product of exactly that many
+    rows; 32 and 64 hidden units with up to 40 rows cross the row counts
+    at which the BLAS changes kernels, and single rows take gemv.
+    """
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_decoders_equal_separate_runs(self, data):
+        hidden = data.draw(st.sampled_from([16, 32, 64]))
+        params = toy_params(seed=data.draw(st.integers(0, 1000)), hidden=hidden)
+        targets = ragged_groups(data, params, data.draw(st.integers(2, 5)), 40)
+        rng = np.random.default_rng(0)
+        s0 = {dim: rng.normal(size=(len(t), hidden)) for dim, t in targets.items()}
+        grads = params.zero_grads()
+        joint = _Decoder(params, targets, s0)
+        outputs = [joint.output(g, grads, 0.5) for g in range(len(targets))]
+        joint_dh0 = joint.rnn.backward([d for _, d in outputs], grads)
+        alone_grads = params.zero_grads()
+        for g, dim in enumerate(targets):
+            alone = _Decoder(params, {dim: targets[dim]}, {dim: s0[dim]})
+            np.testing.assert_array_equal(joint.rnn.packed(g), alone.rnn.packed(0))
+            losses, d = alone.output(0, alone_grads, 0.5)
+            np.testing.assert_array_equal(outputs[g][0], losses)
+            np.testing.assert_array_equal(joint_dh0[g], alone.rnn.backward([d], alone_grads)[0])
+        assert_grads_equal(grads, alone_grads)
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_encoders_equal_separate_runs(self, data):
+        hidden = data.draw(st.sampled_from([16, 64]))
+        params = toy_params(seed=data.draw(st.integers(0, 1000)), hidden=hidden)
+        ids = st.integers(0, len(params.vocab) - 1)
+        events = {params.grouping[dim]: [tuple(data.draw(st.lists(ids, min_size=1, max_size=6)))
+                                         for _ in range(data.draw(st.sampled_from([1, 3, 40])))]
+                  for dim in params.decoder_dims[: data.draw(st.integers(1, 3))]}
+        rng = np.random.default_rng(1)
+        ds0 = {eid: rng.normal(size=(len(e), hidden)) for eid, e in events.items()}
+        grads = params.zero_grads()
+        joint = _Encoder(params, events)
+        joint.backward(ds0, grads)
+        alone_grads = params.zero_grads()
+        for eid, group in events.items():
+            alone = _Encoder(params, {eid: group})
+            np.testing.assert_array_equal(joint.h[eid], alone.h[eid])
+            np.testing.assert_array_equal(joint.s0[eid], alone.s0[eid])
+            alone.backward({eid: ds0[eid]}, alone_grads)
+        assert_grads_equal(grads, alone_grads)
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_scratch_rows_are_written_before_read(self, data):
+        # Every buffer the engine allocates uninitialized starts as NaN (or
+        # an out-of-range index); no bit of any loss or gradient changes.
+        params = toy_params(ModelVariant.EventInvolEvent, hidden=32,
+                            seed=data.draw(st.integers(0, 1000)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 1000)))
+        batch = [random_instance(params, rng, int(rng.integers(1, 7)), int(rng.integers(0, 6)))
+                 for _ in range(data.draw(st.integers(1, 40)))]
+        grads = params.zero_grads()
+        losses = batch_loss_and_grads(params, batch, grads)
+
+        def poisoned(shape, dtype=float):
+            fill = np.nan if np.dtype(dtype).kind == "f" else np.iinfo(dtype).max
+            return np.full(shape, fill, dtype=dtype)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(model.np, "empty", poisoned)
+            patch.setattr(model.np, "empty_like",
+                          lambda a, dtype=None: poisoned(a.shape, dtype or a.dtype))
+            poisoned_grads = params.zero_grads()
+            np.testing.assert_array_equal(
+                batch_loss_and_grads(params, batch, poisoned_grads), losses)
+        assert_grads_equal(poisoned_grads, grads)
+
+    def test_one_step_call_per_time_step(self, monkeypatch):
+        # Every decoder of the batch shares one loop, and so do both
+        # directions of every encoder.
+        params = toy_params(ModelVariant.EventInvolEvent)
+        rng = np.random.default_rng(3)
+        batch = [random_instance(params, rng, int(rng.integers(1, 7)), int(rng.integers(0, 6)))
+                 for _ in range(24)]
+        calls = {"gru_step": 0, "gru_step_backward": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(model, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(model, name, counted)
+        batch_loss_and_grads(params, batch, params.zero_grads())
+        steps = (max(len(i.event_ids) for i in batch)
+                 + max(len(i.target_ids) for i in batch) + 1)
+        assert calls == {"gru_step": steps, "gru_step_backward": steps}
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10_000), rows=st.integers(1, 40))
+    def test_decode_step_is_one_training_step(self, seed, rows):
+        params = toy_params(seed=seed, hidden=32)
+        dim = params.decoder_dims[seed % len(params.decoder_dims)]
+        rng = np.random.default_rng(seed)
+        states = rng.normal(size=(rows, 32))
+        prev = rng.integers(0, len(params.vocab), size=rows)
+        batch = _Batch([[int(t)] for t in prev])
+        prefix = f"decoder/{dim.value}"
+        rnn = _Recurrence(params, [prefix], [batch], [batch.pack([[int(t)] for t in prev])],
+                          [states[batch.order]])
+        probs, new_states = decode_step(params, dim, states, prev)
+        np.testing.assert_array_equal(new_states, batch.unsort(rnn.packed(0)))
+        np.testing.assert_array_equal(probs, batch.unsort(_output(params, prefix, rnn.packed(0))))
 
 
 class TestSequenceLoss:
