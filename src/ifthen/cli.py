@@ -395,14 +395,28 @@ def _cmd_train(args) -> None:
           f"final loss {trace[-1]:.4f}; checkpoint at {args.out}")
 
 
-def _dims(names: str | None, available: list[Dimension]) -> list[Dimension]:
+def _dim_names(flag: str | None) -> list[str] | None:
+    """The names ``--dims`` lists, or None when it is not given; an empty
+    list or a name given twice is a usage error."""
+    if flag is None:
+        return None
+    names = flag.split(",")
+    if names == [""]:
+        raise UsageError("--dims needs at least one dimension")
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise UsageError(f"--dims names a dimension more than once: {repeated}")
+    return names
+
+
+def _dims(names: list[str] | None, available: list[Dimension]) -> list[Dimension]:
     """The dimensions named by ``--dims``, or all available ones."""
-    if not names:
+    if names is None:
         return available
-    unknown = [n for n in names.split(",") if n not in {d.value for d in available}]
+    unknown = [n for n in names if n not in {d.value for d in available}]
     if unknown:
         raise UsageError(f"--dims names unknown or unmodeled dimensions: {unknown}")
-    return [Dimension(n) for n in names.split(",")]
+    return [Dimension(n) for n in names]
 
 
 def _cmd_generate(args) -> None:
@@ -410,6 +424,9 @@ def _cmd_generate(args) -> None:
         raise UsageError("--beam-width must be at least 1")
     if args.max_len is not None and args.max_len < 1:
         raise UsageError("--max-len must be at least 1")
+    if args.event is not None and not args.event.split():
+        raise UsageError("--event needs at least one token")
+    names = _dim_names(args.dims)
     triples = parse_atlas_file(args.atlas)
     if args.event is not None:
         events = [args.event]
@@ -423,7 +440,7 @@ def _cmd_generate(args) -> None:
         with open(args.embeddings, encoding="utf-8") as fh:
             embeddings = load_embedding_file(fh)
         train_graph = build_graph([t for t in triples if t.split is Split.Train])
-        dims = _dims(args.dims, list(Dimension))
+        dims = _dims(names, list(Dimension))
         results = (
             generation.nearest_neighbor_predict(
                 train_graph, embeddings, ev, dim, k=args.beam_width
@@ -435,7 +452,7 @@ def _cmd_generate(args) -> None:
         if not args.ckpt:
             raise UsageError("--ckpt is required unless --nearest is used")
         params = load_checkpoint(args.ckpt)
-        dims = _dims(args.dims, params.decoder_dims)
+        dims = _dims(names, params.decoder_dims)
         results = (
             generation.beam_search(
                 params, ev, dim, beam_width=args.beam_width,

@@ -89,6 +89,10 @@ class ModelParams:
         self.grouping = encoder_grouping(config.variant)
         self.arrays = arrays
         self.param_order = param_order
+        # initial_decoder_state's last encoding (None before the first) of
+        # each encoder that two or more dimensions share; no other is kept.
+        eids = list(self.grouping.values())
+        self._encodings: dict[str, tuple | None] = {e: None for e in eids if eids.count(e) > 1}
 
     @property
     def decoder_dims(self) -> list[Dimension]:
@@ -576,12 +580,38 @@ def batch_loss_and_grads(
     return losses
 
 
+def _encoder_reads(params: ModelParams, eid: str, event_ids) -> list[tuple]:
+    """Every array that encoding ``event_ids`` with encoder ``eid`` reads,
+    as its dtype, shape, strides and raw bytes: both directions' cells,
+    the bridge and the event's embedding rows."""
+    names = [f"encoder/{eid}/{d}/{k}" for d in ("fwd", "bwd") for k in "WUb"]
+    arrays = [params.arrays[n] for n in (*names, f"bridge/{eid}/W", f"bridge/{eid}/b")]
+    arrays.append(params.arrays["embedding"][np.asarray(event_ids, dtype=np.intp)])
+    return [(a.dtype.str, a.shape, a.strides, a.tobytes()) for a in arrays]
+
+
 def initial_decoder_state(
     params: ModelParams, dimension: Dimension, event_ids
 ) -> np.ndarray:
-    """Encode the event with the dimension's encoder and bridge to h_dec."""
+    """Encode the event with the dimension's encoder and bridge to h_dec.
+
+    An encoder shared by two or more dimensions keeps its last encoding on
+    ``params``: the event ids, a snapshot of every array it read and the
+    state. A call with the same ids whose arrays still hold the same bytes
+    returns a copy of that state, bit for bit what encoding again would
+    give; so a search over an event's dimensions, one after another,
+    encodes it once per shared encoder. Any change to those arrays, in
+    place or by replacement, down to a ``0.0``/``-0.0`` flip, encodes
+    afresh.
+    """
     _, eid = _encoder_of(params, dimension)
-    return _Encoder(params, {eid: [event_ids]}).s0[eid][0]
+    if eid not in params._encodings:
+        return _Encoder(params, {eid: [event_ids]}).s0[eid][0]
+    key = tuple(event_ids), _encoder_reads(params, eid, event_ids)
+    memo = params._encodings[eid]
+    if memo is None or memo[0] != key:
+        memo = params._encodings[eid] = key, _Encoder(params, {eid: [event_ids]}).s0[eid][0]
+    return memo[1].copy()
 
 
 def decode_step(

@@ -589,6 +589,16 @@ class TestExitCodes:
         (["train", "--atlas", "{atlas}", "--out", "{tmp}/m.ckpt", "--learning-rate", "nan"], 1),
         (["train", "--atlas", "{atlas}", "--out", "{tmp}/m.ckpt", "--learning-rate", "inf"], 1),
         (["train", "--atlas", "{atlas}", "--out", "{tmp}/m.ckpt", "--learning-rate=-1e-3"], 1),
+        (["generate", "--ckpt", "{tmp}/m.ckpt", "--atlas", "{atlas}", "--event", "",
+          "--out", "{tmp}/g.jsonl"], 1),
+        (["generate", "--nearest", "--embeddings", "{tmp}/e.tsv", "--atlas", "{atlas}",
+          "--event", "  ", "--out", "{tmp}/g.jsonl"], 1),
+        (["generate", "--ckpt", "{tmp}/m.ckpt", "--atlas", "{atlas}", "--dims", "",
+          "--out", "{tmp}/g.jsonl"], 1),
+        (["generate", "--nearest", "--embeddings", "{tmp}/e.tsv", "--atlas", "{atlas}",
+          "--dims", "", "--out", "{tmp}/g.jsonl"], 1),
+        (["generate", "--ckpt", "{tmp}/m.ckpt", "--atlas", "{atlas}",
+          "--dims", "xIntent,xIntent", "--out", "{tmp}/g.jsonl"], 1),
         (["generate", "--ckpt", "{tmp}/m.ckpt", "--atlas", "{atlas}", "--max-len", "1",
           "--out", "{tmp}/g.jsonl"], 2),
     ] + [
@@ -602,7 +612,9 @@ class TestExitCodes:
             "split-ratios-negative", "split-ratios-not-summing-to-1",
             "ingest-blank-threshold-0", "ingest-blank-threshold-without-freq-table",
             "export-sample-size-negative", "eval-bleu-k-0", "train-learning-rate-nan",
-            "train-learning-rate-inf", "train-learning-rate-negative", "generate-missing-ckpt",
+            "train-learning-rate-inf", "train-learning-rate-negative", "generate-event-empty",
+            "generate-event-blank-nearest", "generate-dims-empty",
+            "generate-dims-empty-nearest", "generate-dims-repeated", "generate-missing-ckpt",
             "eval-bleu-epsilon-0", "eval-bleu-epsilon-negative", "eval-bleu-epsilon-nan",
             "eval-bleu-epsilon-inf"])
     def test_bad_flag_value_exit_code(self, atlas, tmp_path, capsys, argv, expected):

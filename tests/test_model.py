@@ -1,8 +1,9 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_instance, toy_params
@@ -367,6 +368,98 @@ class TestGroupedRecurrence:
         probs, new_states = decode_step(params, dim, states, prev)
         np.testing.assert_array_equal(new_states, batch.unsort(rnn.packed(0)))
         np.testing.assert_array_equal(probs, batch.unsort(_output(params, prefix, rnn.packed(0))))
+
+
+class TestEncodingMemo:
+    """``initial_decoder_state`` reuses a shared encoder's last encoding only
+    while everything that encoding read holds the same bytes."""
+
+    SHARED = [v for v in ModelVariant if v is not ModelVariant.Single9]
+
+    @staticmethod
+    def fresh(params, dim, ids):
+        eid = params.grouping[dim]
+        return _Encoder(params, {eid: [list(ids)]}).s0[eid][0]
+
+    @staticmethod
+    def bits(a):
+        return a.shape, a.tobytes()
+
+    @staticmethod
+    def read_names(eid):
+        cells = [f"encoder/{eid}/{d}/{k}" for d in ("fwd", "bwd") for k in "WUb"]
+        return cells + [f"bridge/{eid}/W", f"bridge/{eid}/b", "embedding"]
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(variant=st.sampled_from(SHARED), seed=st.integers(0, 1_000), data=st.data())
+    def test_changed_read_encodes_afresh(self, variant, seed, data):
+        params = toy_params(variant, hidden=6, seed=seed)
+        dim = data.draw(st.sampled_from(params.decoder_dims))
+        ids = data.draw(st.lists(st.integers(4, len(params.vocab) - 1), min_size=1, max_size=5))
+        name = data.draw(st.sampled_from(self.read_names(params.grouping[dim])))
+        arr = params.arrays[name]
+        if name == "embedding":
+            index = (data.draw(st.sampled_from(ids)), data.draw(st.integers(0, arr.shape[1] - 1)))
+        else:
+            index = np.unravel_index(data.draw(st.integers(0, arr.size - 1)), arr.shape)
+        change = data.draw(st.sampled_from(["value", "signed-zero", "nan", "replaced"]))
+        if change == "signed-zero":
+            zero = data.draw(st.sampled_from([0.0, -0.0]))
+            arr[index] = zero
+            value = -zero
+        elif change == "nan":
+            value = math.nan
+        else:
+            value = data.draw(st.floats(-1.0, 1.0))
+            assume(np.float64(value).tobytes() != arr[index].tobytes())
+        initial_decoder_state(params, dim, ids)
+        if change == "replaced":
+            arr = params.arrays[name] = arr.copy()
+        arr[index] = value
+        with mock.patch.object(model, "_Encoder", wraps=_Encoder) as built:
+            state = initial_decoder_state(params, dim, ids)
+        assert built.call_count == 1
+        assert self.bits(state) == self.bits(self.fresh(params, dim, ids))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(variant=st.sampled_from(list(ModelVariant)), seed=st.integers(0, 1_000),
+           data=st.data())
+    def test_any_call_sequence_equals_fresh_encodings(self, variant, seed, data):
+        params = toy_params(variant, hidden=6, seed=seed)
+        events = st.lists(st.integers(4, 8), min_size=1, max_size=3)
+        for dim, ids in data.draw(st.lists(
+                st.tuples(st.sampled_from(params.decoder_dims), events), max_size=12)):
+            state = initial_decoder_state(params, dim, ids)
+            assert self.bits(state) == self.bits(self.fresh(params, dim, ids))
+
+    def test_mutating_a_returned_state_leaves_the_memo(self):
+        params = toy_params(ModelVariant.EventInvolEvent, hidden=6)
+        state = initial_decoder_state(params, Dimension.xReact, [5, 6])
+        state[:] = 7.0
+        again = initial_decoder_state(params, Dimension.xReact, [5, 6])
+        assert self.bits(again) == self.bits(self.fresh(params, Dimension.xReact, [5, 6]))
+
+    def test_params_sharing_arrays_see_each_others_changes(self):
+        a = toy_params(ModelVariant.EventInvolEvent, hidden=6)
+        b = ModelParams(a.config, a.vocab, a.arrays, a.param_order)
+        dim, ids = Dimension.xIntent, [5, 6, 7]
+        before = initial_decoder_state(a, dim, ids)
+        initial_decoder_state(b, dim, ids)
+        b.arrays["encoder/voluntary/bwd/U"][0, 0] += 0.5
+        for p in (a, b):
+            state = initial_decoder_state(p, dim, ids)
+            assert self.bits(state) == self.bits(self.fresh(p, dim, ids))
+            assert not np.array_equal(state, before)
+
+    @pytest.mark.parametrize("variant,builds", [
+        (ModelVariant.EventInvolEvent, 2), (ModelVariant.Single9, 9)])
+    def test_one_event_over_every_dimension(self, variant, builds):
+        params = toy_params(variant, hidden=6)
+        with mock.patch.object(model, "_Encoder", wraps=_Encoder) as built:
+            states = [initial_decoder_state(params, d, [5, 6, 7]) for d in params.decoder_dims]
+        assert len(states) == 9 and built.call_count == builds
+        for dim, state in zip(params.decoder_dims, states):
+            assert self.bits(state) == self.bits(self.fresh(params, dim, [5, 6, 7]))
 
 
 class TestSequenceLoss:
