@@ -130,13 +130,17 @@ def _canonical(triples: Iterable[Triple]) -> list[Triple]:
 
 
 def write_atlas_tsv(triples: Iterable[Triple], stream: IO[str]) -> None:
+    """Raises ``ValueError``, naming the triple, on one that would not read
+    back as written: a field holding a tab, CR or LF, or a line that would
+    start with ``#`` and so read as a comment."""
+    tabs = len(TSV_COLUMNS) - 1
     for t in _canonical(triples):
-        stream.write(
-            "\t".join(
-                (t.event.text, t.dimension.value, t.target.text, t.split.value, t.worker_id)
-            )
-            + "\n"
-        )
+        fields = (t.event.text, t.dimension.value, t.target.text, t.split.value, t.worker_id)
+        line = "\t".join(fields)
+        if line.startswith("#") or line.count("\t") != tabs or "\n" in line or "\r" in line:
+            raise ValueError(f"triple {fields} has no TSV line: a field holds a tab or "
+                             f"line break, or the line would start with '#'")
+        stream.write(line + "\n")
 
 
 def write_atlas_jsonl(triples: Iterable[Triple], stream: IO[str]) -> None:
@@ -163,3 +167,13 @@ def parse_atlas_file(path: str) -> list[Triple]:
         if path.endswith(".jsonl"):
             return parse_atlas_jsonl(fh)
         return parse_atlas_tsv(fh)
+
+
+def write_atlas_file(triples: Iterable[Triple], path: str) -> None:
+    """Write a triple file through :func:`atomic_write`, in the format
+    :func:`parse_atlas_file` reads from that path."""
+    with atomic_write(path) as fh:
+        if path.endswith(".jsonl"):
+            write_atlas_jsonl(triples, fh)
+        else:
+            write_atlas_tsv(triples, fh)

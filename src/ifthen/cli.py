@@ -18,8 +18,10 @@ import os
 import sys
 from collections.abc import Callable
 
-from ifthen import atlas_io, evaluation, generation
-from ifthen.atlas_io import atomic_write, parse_atlas_file
+import numpy as np
+
+from ifthen import evaluation, generation
+from ifthen.atlas_io import atomic_write, parse_atlas_file, write_atlas_file
 from ifthen.graph import (
     EventPhrase,
     Split,
@@ -41,9 +43,12 @@ from ifthen.ingest import (
 )
 from ifthen.overlap import event_coverage, load_edge_file, triple_overlap
 from ifthen.seq2seq import (
+    RESERVED_TOKENS,
     ModelConfig,
     ModelVariant,
     NumericError,
+    TrainingInstance,
+    VocabularyMap,
     build_vocab,
     gradient_check,
     init_params,
@@ -53,7 +58,7 @@ from ifthen.seq2seq import (
     save_checkpoint,
     train,
 )
-from ifthen.seq2seq.model import TrainingInstance
+from ifthen.seq2seq.config import FIELD_MINIMUMS
 from ifthen.taxonomy import Dimension
 
 EXIT_OK = 0
@@ -75,24 +80,26 @@ class _CommandParser(_Parser):
     """One subcommand: its ``handler`` and flags that were not given left
     out of the namespace.
 
-    ``flags`` keeps each flag's action and default, so a ``--config``
-    value fills exactly the flags not given, even one equal to its default.
+    ``flags`` keeps each flag's action, default and minimum (None for no
+    bound), so a ``--config`` value fills exactly the flags not given,
+    even one equal to its default, and is checked like a flag's.
     """
 
     def __init__(self, *args, **kwargs):
-        self.flags: dict[str, tuple[argparse.Action, object]] = {}
+        self.flags: dict[str, tuple[argparse.Action, object, float | None]] = {}
         self.handler: Callable[[argparse.Namespace], None] | None = None
         super().__init__(*args, **kwargs)
 
-    def add_argument(self, *args, **kwargs):
+    def add_argument(self, *args, minimum: float | None = None, **kwargs):
         action = super().add_argument(*args, **kwargs)
         if action.default is not argparse.SUPPRESS:
-            self.flags[action.dest] = (action, action.default)
+            self.flags[action.dest] = (action, action.default, minimum)
             action.default = argparse.SUPPRESS
         return action
 
     def add_model_flags(self, fields: tuple[str, ...]) -> None:
-        """A flag per ``ModelConfig`` field, typed and defaulted by the field."""
+        """A flag per ``ModelConfig`` field, typed, defaulted and bounded by
+        the field."""
         for name in fields:
             default = getattr(ModelConfig, name)
             if isinstance(default, ModelVariant):
@@ -100,7 +107,7 @@ class _CommandParser(_Parser):
                                   choices=[v.value for v in ModelVariant])
             else:
                 self.add_argument("--" + name.replace("_", "-"), type=type(default),
-                                  default=default)
+                                  default=default, minimum=FIELD_MINIMUMS.get(name))
 
 
 # The ModelConfig fields that ``train`` takes as flags, in --help order.
@@ -126,7 +133,7 @@ def _build_parser() -> _Parser:
                    help="one name per line; replaces names with person variables (default: off)")
     p.add_argument("--freq-table", default=None,
                    help="verb/argument frequency TSV for blanking (default: off)")
-    p.add_argument("--blank-threshold", type=int, default=None,
+    p.add_argument("--blank-threshold", type=int, default=None, minimum=1,
                    help="blanking cutoff (default: per-source rule)")
 
     p = add("stats", "graph statistics for a triple file", _cmd_stats)
@@ -162,8 +169,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--event", default=None, help="generate for this single event instead")
     p.add_argument("--dims", default=None,
                    help="comma-separated dimensions (default: all in scope)")
-    p.add_argument("--beam-width", type=int, default=10)
-    p.add_argument("--max-len", type=int, default=None,
+    p.add_argument("--beam-width", type=int, default=10, minimum=1)
+    p.add_argument("--max-len", type=int, default=None, minimum=1,
                    help="decode length cap (default: checkpoint setting)")
     p.add_argument("--suppress-unk", action="store_true",
                    help="never emit <unk>, renormalizing (default: off)")
@@ -176,15 +183,16 @@ def _build_parser() -> _Parser:
     p = add("eval-bleu", "average top-k BLEU of a generation dump against gold", _cmd_eval_bleu)
     p.add_argument("--gen", required=True, help="generation dump (JSONL)")
     p.add_argument("--atlas", required=True, help="gold triple file")
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--k", type=int, default=10, minimum=1)
     p.add_argument("--split", default="test", help="split label recorded in the report")
-    p.add_argument("--smoothing-epsilon", type=float, default=evaluation.SMOOTHING_EPSILON)
+    p.add_argument("--smoothing-epsilon", type=float, default=evaluation.SMOOTHING_EPSILON,
+                   minimum=math.ulp(0.0))
     p.add_argument("--out", default=None, help="JSON report path (default: stdout only)")
 
     p = add("export-human-eval", "sample events and export a judgment sheet",
             _cmd_export_human_eval)
     p.add_argument("--gen", required=True, help="generation dump (JSONL)")
-    p.add_argument("--sample-size", type=int, default=100)
+    p.add_argument("--sample-size", type=int, default=100, minimum=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="TSV sheet output")
 
@@ -201,10 +209,10 @@ def _build_parser() -> _Parser:
 
     p = add("gradcheck", "finite-difference check of analytic gradients", _cmd_gradcheck)
     p.add_model_flags(("variant", "seed"))
-    p.add_argument("--vocab-size", type=int, default=30)
-    p.add_argument("--hidden", type=int, default=16)
-    p.add_argument("--epsilon", type=float, default=1e-4)
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--vocab-size", type=int, default=30, minimum=len(RESERVED_TOKENS) + 1)
+    p.add_argument("--hidden", type=int, default=16, minimum=1)
+    p.add_argument("--epsilon", type=float, default=1e-4, minimum=math.ulp(0.0))
+    p.add_argument("--samples", type=int, default=200, minimum=1)
     parser.commands = sub.choices
     return parser
 
@@ -224,7 +232,9 @@ def _check_config_value(action: argparse.Action, value) -> None:
 
 def _apply_config(parser: _CommandParser, args: argparse.Namespace) -> argparse.Namespace:
     """Fill the flags not given on the command line: from the --config
-    file if it sets them, else from their defaults."""
+    file if it sets them, else from their defaults. Then check every
+    value: a float must be finite, and no value may be below its flag's
+    minimum."""
     settings = {}
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
@@ -239,9 +249,17 @@ def _apply_config(parser: _CommandParser, args: argparse.Namespace) -> argparse.
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         for key, value in settings.items():
             _check_config_value(parser.flags[key][0], value)
-    for key, (_, default) in parser.flags.items():
+    for key, (action, default, minimum) in parser.flags.items():
         if not hasattr(args, key):
             setattr(args, key, settings.get(key, default))
+        value, flag = getattr(args, key), action.option_strings[0]
+        if value is None:
+            continue
+        # A --config int beyond the float range is as unusable as inf.
+        if action.type is float and not -sys.float_info.max <= value <= sys.float_info.max:
+            raise UsageError(f"{flag} must be a finite float, got {value}")
+        if minimum is not None and value < minimum:
+            raise UsageError(f"{flag} must be at least {minimum}, got {value}")
     return args
 
 
@@ -310,11 +328,8 @@ def _check_merged_splits(source: list[Triple], triples: list[Triple]) -> None:
 
 
 def _cmd_ingest(args) -> None:
-    if args.blank_threshold is not None:
-        if not args.freq_table:
-            raise UsageError("--blank-threshold needs --freq-table")
-        if args.blank_threshold < 1:
-            raise UsageError("--blank-threshold must be at least 1")
+    if args.blank_threshold is not None and not args.freq_table:
+        raise UsageError("--blank-threshold needs --freq-table")
     triples = source = parse_atlas_file(args.input)
     if args.name_lexicon:
         with open(args.name_lexicon, encoding="utf-8") as fh:
@@ -326,11 +341,7 @@ def _cmd_ingest(args) -> None:
         triples = _map_events(
             triples, lambda ev: blank_infrequent_args(ev, freq, args.blank_threshold))
     _check_merged_splits(source, triples)
-    with atomic_write(args.out) as fh:
-        if args.out.endswith(".jsonl"):
-            atlas_io.write_atlas_jsonl(triples, fh)
-        else:
-            atlas_io.write_atlas_tsv(triples, fh)
+    write_atlas_file(triples, args.out)
     print(f"wrote {len(triples)} triples to {args.out}")
 
 
@@ -420,10 +431,6 @@ def _dims(names: list[str] | None, available: list[Dimension]) -> list[Dimension
 
 
 def _cmd_generate(args) -> None:
-    if args.beam_width < 1:
-        raise UsageError("--beam-width must be at least 1")
-    if args.max_len is not None and args.max_len < 1:
-        raise UsageError("--max-len must be at least 1")
     if args.event is not None and not args.event.split():
         raise UsageError("--event needs at least one token")
     names = _dim_names(args.dims)
@@ -468,10 +475,6 @@ def _cmd_generate(args) -> None:
 
 
 def _cmd_eval_bleu(args) -> None:
-    if args.k < 1:
-        raise UsageError("--k must be at least 1")
-    if not (math.isfinite(args.smoothing_epsilon) and args.smoothing_epsilon > 0):
-        raise UsageError("--smoothing-epsilon must be finite and positive")
     with open(args.gen, encoding="utf-8") as fh:
         gens = generation.read_generations(fh)
     gold = build_graph(parse_atlas_file(args.atlas))
@@ -482,8 +485,6 @@ def _cmd_eval_bleu(args) -> None:
 
 
 def _cmd_export_human_eval(args) -> None:
-    if args.sample_size < 1:
-        raise UsageError("--sample-size must be at least 1")
     with open(args.gen, encoding="utf-8") as fh:
         gens = generation.read_generations(fh)
     sheet = evaluation.export_human_eval_sheet(
@@ -513,16 +514,6 @@ def _cmd_overlap(args) -> None:
 
 
 def _cmd_gradcheck(args) -> None:
-    import numpy as np
-
-    from ifthen.seq2seq.vocab import RESERVED_TOKENS, VocabularyMap
-
-    if not args.epsilon > 0:
-        raise UsageError("--epsilon must be positive")
-    if args.samples < 1:
-        raise UsageError("--samples must be at least 1")
-    if args.vocab_size <= len(RESERVED_TOKENS):
-        raise UsageError(f"--vocab-size must exceed the {len(RESERVED_TOKENS)} reserved tokens")
     extra = [f"w{i}" for i in range(args.vocab_size - len(RESERVED_TOKENS))]
     vocab = VocabularyMap.from_tokens(list(RESERVED_TOKENS) + extra)
     hidden = args.hidden + (args.hidden % 2)
@@ -541,7 +532,7 @@ def _cmd_gradcheck(args) -> None:
         params, instance, epsilon=args.epsilon, num_samples=args.samples, seed=args.seed
     )
     print(f"max relative gradient error ({args.variant}): {err:.3e}")
-    if err != err:  # NaN
+    if math.isnan(err):
         raise NumericError("gradient check produced NaN")
 
 

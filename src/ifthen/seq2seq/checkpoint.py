@@ -13,6 +13,8 @@ once complete, so a failed write leaves any previous checkpoint intact.
 from __future__ import annotations
 
 import json
+import math
+import os
 
 import numpy as np
 
@@ -78,13 +80,16 @@ def _read_header(fh) -> tuple[ModelConfig, VocabularyMap, list[str], dict[str, t
 def load_checkpoint(path: str) -> ModelParams:
     with open(path, "rb") as fh:
         config, vocab, names, shapes = _read_header(fh)
-        arrays: dict[str, np.ndarray] = {}
-        for name in names:
-            count = int(np.prod(shapes[name]))
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
-                raise CheckpointError(f"truncated tensor data for {name}")
-            arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shapes[name]).copy()
-        if fh.read(1):
-            raise CheckpointError("trailing bytes after tensor data")
+        # Checked before any tensor is read, so a header that promises
+        # more data than the file holds allocates nothing.
+        expected = 8 * sum(math.prod(shapes[name]) for name in names)
+        held = os.fstat(fh.fileno()).st_size - fh.tell()
+        if held != expected:
+            raise CheckpointError(
+                f"the header's tensors take {expected} bytes, but {held} follow it")
+        arrays = {
+            name: np.frombuffer(fh.read(8 * math.prod(shapes[name])), dtype="<f8")
+            .reshape(shapes[name]).copy()
+            for name in names
+        }
     return ModelParams(config=config, vocab=vocab, arrays=arrays, param_order=names)

@@ -43,6 +43,13 @@ def encoder_grouping(variant: ModelVariant) -> dict[Dimension, str]:
     return {d: ids[v] for d, v in values.items() if v in ids}
 
 
+# The least value of each bounded ModelConfig field (enc_hidden is split
+# into two equal halves, so 2); a float field must also be finite.
+FIELD_MINIMUMS = {"embed_dim": 1, "enc_hidden": 2, "dec_hidden": 1, "max_decode_len": 1,
+                  "learning_rate": 0.0, "batch_size": 1, "epochs": 1, "seed": 0,
+                  "clip_norm": 0.0, "min_count": 1}
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     variant: ModelVariant = ModelVariant.Single9
@@ -59,16 +66,12 @@ class ModelConfig:
     early_stop_loss: float | None = None
 
     def __post_init__(self) -> None:
+        for name, minimum in FIELD_MINIMUMS.items():
+            value = getattr(self, name)
+            if not minimum <= value < math.inf:
+                raise ValueError(f"{name} must be finite and at least {minimum}, got {value}")
         if self.enc_hidden % 2 != 0:
             raise ValueError("enc_hidden must be even (bidirectional halves)")
-        for name in ("embed_dim", "enc_hidden", "dec_hidden", "max_decode_len",
-                     "batch_size", "epochs", "min_count"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        for name in ("learning_rate", "clip_norm"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
     def to_dict(self) -> dict:
         d = asdict(self)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ifthen.seq2seq.model import ModelParams, TrainingInstance, batch_loss_and_grads, sequence_loss
@@ -20,6 +22,7 @@ def gradient_check(
     embedding, the instance's encoder, its decoder cell, and the output
     projection, and compares backprop against central differences of
     :func:`sequence_loss` in double precision. ``epsilon`` must be positive.
+    Any non-finite coordinate error makes the result NaN.
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -54,16 +57,22 @@ def gradient_check(
             offset = int(pick - (np.cumsum(sizes)[idx] - sizes[idx]))
             flat = params.arrays[name].reshape(-1)
             orig = flat[offset]
-            flat[offset] = orig + epsilon
-            loss_plus = sequence_loss(params, instance)
-            flat[offset] = orig - epsilon
-            loss_minus = sequence_loss(params, instance)
+            # A step that overflows the loss gives a non-finite error,
+            # reported as NaN below, not as a warning.
+            with np.errstate(all="ignore"):
+                flat[offset] = orig + epsilon
+                loss_plus = sequence_loss(params, instance)
+                flat[offset] = orig - epsilon
+                loss_minus = sequence_loss(params, instance)
             flat[offset] = orig
             numeric = (loss_plus - loss_minus) / (2.0 * epsilon)
-            analytic = grads[name].reshape(-1)[offset]
+            analytic = float(grads[name].reshape(-1)[offset])
             # Floor shields near-zero coordinates, where the central
             # difference is dominated by cancellation noise, without
             # weakening the check for meaningful gradient magnitudes.
             denom = max(abs(numeric), abs(analytic), 1e-6)
-            max_rel = max(max_rel, abs(numeric - analytic) / denom)
+            rel = abs(numeric - analytic) / denom
+            if not rel < math.inf:  # NaN or inf
+                return math.nan
+            max_rel = max(max_rel, rel)
     return max_rel

@@ -57,6 +57,23 @@ def test_tsv_and_jsonl_agree(fixture_triples):
     )
 
 
+@pytest.mark.parametrize("event, worker", [
+    ("#metoo PersonX posts", "w1"),
+    ("PersonX posts", "w\t1"),
+    ("PersonX posts", "w\r1"),
+    ("PersonX posts", "w\n1"),
+], ids=["comment-line", "tab", "cr", "lf"])
+def test_tsv_writer_refuses_a_line_that_reads_back_differently(event, worker):
+    triples = [make_triple("PersonX naps", "xReact", "calm"),
+               make_triple(event, "xWant", "to share", worker=worker)]
+    with pytest.raises(ValueError) as refused:
+        write_atlas_tsv(triples, io.StringIO())
+    assert str(refused.value).startswith(f"triple {(event, 'xWant', 'to share', 'train', worker)}")
+    jsonl = io.StringIO()
+    write_atlas_jsonl(triples, jsonl)
+    assert set(parse_atlas_jsonl(io.StringIO(jsonl.getvalue()))) == set(triples)
+
+
 def test_graph_round_trip_identity(fixture_triples):
     graph = build_graph(fixture_triples)
     buf = io.StringIO()

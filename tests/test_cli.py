@@ -2,6 +2,8 @@ import dataclasses
 import io
 import itertools
 import json
+import math
+import tracemalloc
 import warnings
 
 import pytest
@@ -10,7 +12,7 @@ from conftest import poison_gradients
 
 from ifthen import atlas_io, generation
 from ifthen.atlas_io import AtlasFormatError
-from ifthen.cli import run
+from ifthen.cli import _apply_config, _build_parser, run
 from ifthen.evaluation import EvalError
 from ifthen.graph import Triple
 from ifthen.ingest import IngestError
@@ -18,6 +20,7 @@ from ifthen.overlap import OverlapError
 from ifthen.seq2seq import ModelConfig
 from ifthen.seq2seq.checkpoint import CheckpointError
 from ifthen.seq2seq.embeddings import EmbeddingFormatError
+from ifthen.seq2seq.model import _param_shapes
 
 ATLAS = """\
 PersonX runs home\txWant\tto rest\ttrain\tw1
@@ -30,6 +33,30 @@ PersonX calls PersonY\txWant\tto chat\tdev\tw1
 PersonX walks the dog\txWant\tto relax\ttest\tw1
 PersonX walks the dog\txIntent\tto be kind\ttest\tw1
 """
+
+
+# Each command's parser, and every flag whose range it declares: a flag
+# with a minimum is tried one below it, and a float flag at inf, NaN and
+# an int beyond the float range.
+COMMANDS = _build_parser().commands
+OUT_OF_RANGE = [
+    pytest.param(name, dest, value, id=f"{name}-{dest}={str(value)[:8]}")
+    for name, parser in COMMANDS.items()
+    for dest, (action, _, minimum) in parser.flags.items()
+    for value in ([] if minimum is None else [minimum - 1])
+    + ([math.inf, math.nan, 10**400] if action.type is float else [])
+]
+MINIMA = [
+    pytest.param(name, dest, minimum, id=f"{name}-{dest}={minimum}")
+    for name, parser in COMMANDS.items()
+    for dest, (_, _, minimum) in parser.flags.items() if minimum is not None
+]
+
+
+def required_args(command, value):
+    """Each required flag of ``command``, given ``value``."""
+    return [arg for action, _, _ in COMMANDS[command].flags.values() if action.required
+            for arg in (action.option_strings[0], value)]
 
 
 @pytest.fixture
@@ -104,6 +131,21 @@ class TestDataCommands:
             for t in atlas_io.parse_atlas_file(str(src))], expected)
         assert out.read_text() == expected.getvalue()
         assert "PersonX runs ___" in expected.getvalue()
+
+    @pytest.mark.parametrize("event, worker", [("#metoo PersonX posts", "w1"),
+                                               ("PersonX posts", "w\t1")],
+                             ids=["comment-line", "tab-in-worker-id"])
+    def test_ingest_refuses_a_tsv_line_that_reads_back_differently(self, tmp_path, capsys,
+                                                                   event, worker):
+        src = tmp_path / "raw.jsonl"
+        src.write_text("".join(json.dumps(
+            {"event": e, "dimension": "xWant", "target": "to share", "split": "train",
+             "worker_id": w}) + "\n" for e, w in [("PersonX naps", "w1"), (event, worker)]))
+        assert run(["ingest", "--in", str(src), "--out", str(tmp_path / "clean.tsv")]) == 2
+        assert capsys.readouterr().err.startswith(f"data error: triple ({event!r}, 'xWant'")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["raw.jsonl"]
+        assert run(["ingest", "--in", str(src), "--out", str(tmp_path / "clean.jsonl")]) == 0
+        assert len(atlas_io.parse_atlas_file(str(tmp_path / "clean.jsonl"))) == 2
 
     @pytest.mark.parametrize("rows,flags,message", [
         ("Alice naps\txReact\tcalm\ttrain\tw1\nBob naps\txReact\ttired\ttest\tw2\n",
@@ -354,6 +396,22 @@ class TestExitCodes:
             atlas, tmp_path, lambda h: h.update(format_version=1)) == 2
         assert "unsupported checkpoint format version 1" in capsys.readouterr().err
 
+    def test_checkpoint_promising_more_data_than_it_holds_is_data_error(self, atlas, tmp_path,
+                                                                         capsys):
+        def grow(header):  # some 10^13 bytes of tensors
+            header["config"]["embed_dim"] = 10**11
+            shapes = _param_shapes(ModelConfig.from_dict(header["config"]), len(header["vocab"]))
+            header["tensors"] = [{"name": n, "shape": list(s)} for n, s in shapes.items()]
+
+        tracemalloc.start()
+        try:
+            assert self.generate_with_header(atlas, tmp_path, grow) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "data error: the header's tensors take" in capsys.readouterr().err
+        assert peak < 2**24
+
     def test_non_finite_embedding_is_data_error(self, atlas, tmp_path, capsys):
         emb = tmp_path / "emb.tsv"
         emb.write_text("personx\t0.5 0.5\nruns\tnan 1.0\n")
@@ -385,6 +443,11 @@ class TestExitCodes:
         assert err.startswith(f"data error: generation dump line 1: {constant} is not")
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_gradcheck_step_is_numeric_failure(self, capsys):
+        assert run(["gradcheck", "--epsilon", "1e300", "--samples", "8"]) == 3
+        assert capsys.readouterr().err == "numeric failure: gradient check produced NaN\n"
 
     def test_overflowing_training_fails_without_runtime_warnings(self, atlas, tmp_path, capsys):
         # A huge rate drives gate pre-activations past exp's range and a gold
@@ -601,6 +664,9 @@ class TestExitCodes:
           "--dims", "xIntent,xIntent", "--out", "{tmp}/g.jsonl"], 1),
         (["generate", "--ckpt", "{tmp}/m.ckpt", "--atlas", "{atlas}", "--max-len", "1",
           "--out", "{tmp}/g.jsonl"], 2),
+        (["train", "--atlas", "{atlas}", "--out", "{tmp}/m.ckpt", "--seed", "-1"], 1),
+        (["gradcheck", "--seed", "-1"], 1),
+        (["gradcheck", "--epsilon", "inf"], 1),
     ] + [
         (["eval-bleu", "--gen", "{tmp}/g.jsonl", "--atlas", "{atlas}",
           f"--smoothing-epsilon={value}", "--out", "{tmp}/b.json"], 1)
@@ -615,6 +681,7 @@ class TestExitCodes:
             "train-learning-rate-inf", "train-learning-rate-negative", "generate-event-empty",
             "generate-event-blank-nearest", "generate-dims-empty",
             "generate-dims-empty-nearest", "generate-dims-repeated", "generate-missing-ckpt",
+            "train-seed-negative", "gradcheck-seed-negative", "gradcheck-epsilon-inf",
             "eval-bleu-epsilon-0", "eval-bleu-epsilon-negative", "eval-bleu-epsilon-nan",
             "eval-bleu-epsilon-inf"])
     def test_bad_flag_value_exit_code(self, atlas, tmp_path, capsys, argv, expected):
@@ -623,6 +690,32 @@ class TestExitCodes:
         assert err.startswith("usage error" if expected == 1 else "data error")
         assert "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["atlas.tsv"]
+
+    @pytest.mark.parametrize("command, dest, value", OUT_OF_RANGE)
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_out_of_range_value_is_usage_error(self, tmp_path, capsys, command, dest, value,
+                                               source):
+        flag = COMMANDS[command].flags[dest][0].option_strings[0]
+        # Required flags name a path that does not exist: the value is refused first.
+        argv = [command] + required_args(command, str(tmp_path / "missing"))
+        if source == "flag":
+            argv.append(f"{flag}={value}")
+        else:
+            (tmp_path / "cfg.json").write_text(json.dumps({dest: value}))
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        assert run(argv) == 1
+        assert capsys.readouterr().err.startswith(f"usage error: {flag} must be")
+        assert [p.name for p in tmp_path.iterdir()] == (["cfg.json"] if source == "config" else [])
+
+    @pytest.mark.parametrize("command, dest, minimum", MINIMA)
+    def test_minimum_passes_the_resolver(self, tmp_path, command, dest, minimum):
+        parser = COMMANDS[command]
+        flag = parser.flags[dest][0].option_strings[0]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({dest: minimum}))
+        for given in ([f"{flag}={minimum!r}"], ["--config", str(cfg)]):
+            args = _apply_config(parser, parser.parse_args(required_args(command, "x") + given))
+            assert getattr(args, dest) == minimum
 
 
 class TestConfigLayering:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,13 @@ def test_non_positive_epsilon_rejected(epsilon):
     inst = random_instance(params, np.random.default_rng(5))
     with pytest.raises(ValueError, match="epsilon"):
         gradient_check(params, inst, epsilon=epsilon)
+
+
+def test_nan_weight_gives_nan():
+    params = toy_params(seed=4)
+    inst = random_instance(params, np.random.default_rng(5))
+    params.arrays["embedding"][inst.event_ids[0], 0] = np.nan
+    assert math.isnan(gradient_check(params, inst, num_samples=8))
 
 
 def test_coarse_epsilon_degrades_accuracy():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import random_instance, toy_params
 
 from ifthen.seq2seq import ModelConfig, ModelVariant, encoder_grouping, model
+from ifthen.seq2seq.config import FIELD_MINIMUMS
 from ifthen.seq2seq.model import (
     ModelParams,
     TrainingInstance,
@@ -518,6 +519,12 @@ class TestConfig:
     def test_bad_rate_or_clip_norm_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             ModelConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, minimum", sorted(FIELD_MINIMUMS.items()))
+    def test_every_bounded_field_holds_its_minimum_and_no_less(self, field, minimum):
+        assert getattr(ModelConfig(**{field: minimum}), field) == minimum
+        with pytest.raises(ValueError, match=f"{field} must be finite and at least {minimum}"):
+            ModelConfig(**{field: minimum - 1})
 
     def test_zero_rate_and_clip_norm_allowed(self):
         ModelConfig(learning_rate=0.0, clip_norm=0.0)
