@@ -557,6 +557,9 @@ def run(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as exc:  # every package error is a ValueError
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError as exc:  # e.g. a size flag far beyond any memory
+        print(f"data error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_DATA
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

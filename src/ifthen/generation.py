@@ -39,7 +39,7 @@ from ifthen.seq2seq.model import ModelParams, decode_step, initial_decoder_state
 from ifthen.taxonomy import Dimension
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GenerationList:
     """Ranked candidate inferences for one (event, dimension)."""
 

@@ -47,7 +47,7 @@ class Split(str, Enum):
     Test = "test"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EventPhrase:
     """A normalized base-event verb phrase.
 
@@ -78,7 +78,7 @@ class EventPhrase:
         return self.text.split()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InferenceTarget:
     """An annotated inference; ``none`` is the empty-annotation sentinel."""
 
@@ -99,7 +99,7 @@ class InferenceTarget:
         return self.text.split()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Triple:
     """One worker's ``<event, dimension, inference>`` annotation."""
 
@@ -110,7 +110,7 @@ class Triple:
     split: Split
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     """A deduplicated triple with all contributing workers as provenance."""
 
@@ -214,27 +214,28 @@ def build_graph(triples: list[Triple]) -> AtlasGraph:
     # Each dimension's name, and whether it describes the event's theme.
     dim_table = {d: (d.value, classify_dimension(d).subject is Subject.Theme) for d in Dimension}
     norm = cache(normalize_node_text)
-    merged: dict[tuple[str, str, str], tuple[Triple, set[str]]] = {}
+    # The first triple of each key; later worker ids only for repeated keys.
+    merged: dict[tuple[str, str, str], Triple] = {}
+    more_workers: dict[tuple[str, str, str], list[str]] = {}
     diagnostics: list[str] = []
     for t in triples:
         dim, theme = dim_table[t.dimension]
         key = (norm(t.event.text), dim, norm(t.target.text))
-        slot = merged.get(key)
-        if slot is None:
+        first = merged.get(key)
+        if first is None:
             if theme and "PersonY" not in t.event.person_slots:
                 diagnostics.append(
                     f"{dim} annotation on event without explicit "
                     f"PersonY (implied participant): {t.event.text!r}"
                 )
-            merged[key] = (t, {t.worker_id})
+            merged[key] = t
+        elif first.split is not t.split:
+            raise ValueError(
+                f"conflicting splits for duplicate triple {key}: "
+                f"{first.split.value} and {t.split.value}"
+            )
         else:
-            first, workers = slot
-            if first.split is not t.split:
-                raise ValueError(
-                    f"conflicting splits for duplicate triple {key}: "
-                    f"{first.split.value} and {t.split.value}"
-                )
-            workers.add(t.worker_id)
+            more_workers.setdefault(key, []).append(t.worker_id)
     if diagnostics:
         log.warning("%d implied-participant diagnostics; first: %s",
                     len(diagnostics), diagnostics[0])
@@ -246,8 +247,10 @@ def build_graph(triples: list[Triple]) -> AtlasGraph:
     nodes: set[str] = set()
     for key in sorted(merged):
         ev, _, tgt = key
-        t, workers = merged[key]
-        edge = Edge(t.event, t.dimension, t.target, tuple(sorted(workers)), t.split)
+        t = merged[key]
+        more = more_workers.get(key)
+        workers = (t.worker_id,) if more is None else tuple(sorted({t.worker_id, *more}))
+        edge = Edge(t.event, t.dimension, t.target, workers, t.split)
         edges.append(edge)
         events_by_norm.setdefault(ev, t.event)
         adjacency.setdefault((ev, t.dimension), []).append(edge)

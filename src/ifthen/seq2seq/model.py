@@ -51,7 +51,7 @@ from ifthen.seq2seq.vocab import VocabularyMap
 from ifthen.taxonomy import Dimension
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrainingInstance:
     """One worker's annotation as an (event ids, dimension, target ids) triple."""
 

@@ -449,6 +449,13 @@ class TestExitCodes:
         assert run(["gradcheck", "--epsilon", "1e300", "--samples", "8"]) == 3
         assert capsys.readouterr().err == "numeric failure: gradient check produced NaN\n"
 
+    def test_size_far_beyond_memory_is_data_error(self, capsys):
+        # 213 PiB for the embedding alone: refused at once, nothing is allocated.
+        assert run(["gradcheck", "--hidden", "1000000000000000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: out of memory: ")
+        assert "Traceback" not in err
+
     def test_overflowing_training_fails_without_runtime_warnings(self, atlas, tmp_path, capsys):
         # A huge rate drives gate pre-activations past exp's range and a gold
         # probability to 0: the run must stop on the numeric failure alone.

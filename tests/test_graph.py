@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,9 @@ from hypothesis import strategies as st
 from conftest import make_triple
 from oracles import build_graph_reference, event_phrase_reference, stats_oracle
 
+from ifthen.generation import GenerationList
 from ifthen.graph import (
+    Edge,
     EventPhrase,
     InferenceTarget,
     Split,
@@ -14,7 +18,47 @@ from ifthen.graph import (
     graph_stats,
     query_inferences,
 )
+from ifthen.seq2seq.model import TrainingInstance
 from ifthen.taxonomy import ContentType, Dimension
+
+
+_EVENT = EventPhrase.from_text("PersonX bakes bread")
+_TARGET = InferenceTarget.from_text("buy flour")
+# One instance of each record made per triple, edge, instance or list, with
+# a field to replace and a new value for it.
+_RECORDS = [
+    pytest.param(_EVENT, "blank_count", 1, id="EventPhrase"),
+    pytest.param(_TARGET, "text", "buy yeast", id="InferenceTarget"),
+    pytest.param(make_triple("PersonX bakes bread", "xNeed", "buy flour"), "worker_id", "w2",
+                 id="Triple"),
+    pytest.param(Edge(_EVENT, Dimension.xNeed, _TARGET, ("w1",), Split.Train), "split",
+                 Split.Test, id="Edge"),
+    pytest.param(TrainingInstance((4, 5), Dimension.xNeed, (6,)), "target_ids", (7, 8),
+                 id="TrainingInstance"),
+    pytest.param(GenerationList("PersonX bakes bread", Dimension.xNeed, 10,
+                                ((("buy", "flour"), -0.5),)), "beam_width", 1,
+                 id="GenerationList"),
+]
+
+
+@pytest.mark.parametrize("record, field, value", _RECORDS)
+class TestSlottedRecords:
+    def test_slots_and_no_instance_dict(self, record, field, value):
+        assert type(record).__slots__ == tuple(f.name for f in dataclasses.fields(record))
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(AttributeError):
+            object.__setattr__(record, "extra", 1)
+
+    def test_fields_stay_frozen(self, record, field, value):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, field, value)
+
+    def test_replace_builds_a_changed_copy(self, record, field, value):
+        copy = dataclasses.replace(record, **{field: value})
+        assert getattr(copy, field) == value and copy != record
+        for other in dataclasses.fields(record):
+            if other.name != field:
+                assert getattr(copy, other.name) is getattr(record, other.name)
 
 
 class TestEventPhrase:
@@ -84,12 +128,29 @@ class TestBuildGraph:
         assert len(g.edges) == 1
         assert g.edges[0].worker_ids == ("w1", "w2")
 
+    def test_repeated_workers_are_sorted_once(self):
+        triples = [make_triple("PersonX bakes bread", "xNeed", "buy flour", worker=w)
+                   for w in ("w3", "w1", "w3", "w2")]
+        (edge,) = build_graph(triples).edges
+        assert edge.worker_ids == ("w1", "w2", "w3")
+        assert edge.to_triples() == [dataclasses.replace(triples[0], worker_id=w)
+                                     for w in ("w1", "w2", "w3")]
+
     def test_duplicate_with_conflicting_splits_rejected(self):
         t1 = make_triple("PersonX bakes bread", "xNeed", "buy flour", worker="w1")
         t2 = make_triple("PersonX Bakes  bread", "xNeed", "Buy flour", worker="w2",
                          split=Split.Test)
         with pytest.raises(ValueError, match=r"personx bakes bread.*train and test"):
             build_graph([t1, t2])
+
+    def test_conflicting_split_after_a_repeat_names_both_splits(self):
+        triples = [make_triple("PersonX bakes bread", "xNeed", "buy flour", worker=w, split=s)
+                   for w, s in (("w1", Split.Dev), ("w2", Split.Dev), ("w3", Split.Train))]
+        with pytest.raises(ValueError) as caught:
+            build_graph(triples)
+        assert str(caught.value) == (
+            "conflicting splits for duplicate triple "
+            "('personx bakes bread', 'xNeed', 'buy flour'): dev and train")
 
     def test_six_triple_adjacency_hand_enumeration(self):
         triples = [
