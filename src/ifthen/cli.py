@@ -299,15 +299,6 @@ def _model_config(**fields) -> ModelConfig:
         raise UsageError(str(exc)) from None
 
 
-def _map_events(
-    triples: list[Triple], fn: Callable[[EventPhrase], EventPhrase]
-) -> list[Triple]:
-    """``triples`` with each event replaced by ``fn(event)``, called once per
-    distinct event (two events are equal exactly when their texts are)."""
-    fn = functools.cache(fn)
-    return [Triple(fn(t.event), t.dimension, t.target, t.worker_id, t.split) for t in triples]
-
-
 def _check_merged_splits(source: list[Triple], triples: list[Triple]) -> None:
     """Refuse two distinct input events that became one event text but
     came from different splits: the output would carry that text in both."""
@@ -330,16 +321,27 @@ def _check_merged_splits(source: list[Triple], triples: list[Triple]) -> None:
 def _cmd_ingest(args) -> None:
     if args.blank_threshold is not None and not args.freq_table:
         raise UsageError("--blank-threshold needs --freq-table")
-    triples = source = parse_atlas_file(args.input)
+    source = parse_atlas_file(args.input)
+    lexicon = freq = None
     if args.name_lexicon:
         with open(args.name_lexicon, encoding="utf-8") as fh:
             lexicon = load_name_lexicon(fh)
-        triples = _map_events(triples, lambda ev: normalize_event(ev.text, lexicon))
     if args.freq_table:
         with open(args.freq_table, encoding="utf-8") as fh:
             freq = load_frequency_table(fh)
-        triples = _map_events(
-            triples, lambda ev: blank_infrequent_args(ev, freq, args.blank_threshold))
+
+    @functools.cache
+    def ingested(event: EventPhrase) -> EventPhrase:
+        """``event`` named, then blanked; called once per distinct event
+        (two events are equal exactly when their texts are)."""
+        if lexicon is not None:
+            event = normalize_event(event.text, lexicon)
+        if freq is not None:
+            event = blank_infrequent_args(event, freq, args.blank_threshold)
+        return event
+
+    triples = [Triple(ingested(t.event), t.dimension, t.target, t.worker_id, t.split)
+               for t in source]
     _check_merged_splits(source, triples)
     write_atlas_file(triples, args.out)
     print(f"wrote {len(triples)} triples to {args.out}")

@@ -120,12 +120,6 @@ class Edge:
     worker_ids: tuple[str, ...]
     split: Split
 
-    def to_triples(self) -> list[Triple]:
-        return [
-            Triple(self.event, self.dimension, self.target, w, self.split)
-            for w in self.worker_ids
-        ]
-
 
 @dataclass(frozen=True)
 class EventIndex:
@@ -165,13 +159,6 @@ class AtlasGraph:
     adjacency: dict[tuple[str, Dimension], tuple[Edge, ...]]
     nodes: frozenset[str]
     diagnostics: tuple[str, ...] = field(default=())
-
-    def to_triples(self) -> list[Triple]:
-        """Expand back to one triple per worker, in canonical order."""
-        out: list[Triple] = []
-        for edge in self.edges:
-            out.extend(edge.to_triples())
-        return out
 
     @cached_property
     def event_index(self) -> dict[Dimension, EventIndex]:

@@ -92,8 +92,6 @@ class FrequencyTable:
 @dataclass(frozen=True)
 class SplitAssignment:
     assignment: dict[str, Split]
-    ratios: tuple[float, float, float]
-    seed: int
 
 
 def load_stopwords(stream: IO[str]) -> set[str]:
@@ -292,4 +290,4 @@ def split_events(
         filled[best] += len(groups[key])
         for ev in groups[key]:
             assignment[ev.text] = best
-    return SplitAssignment(assignment=assignment, ratios=ratios, seed=seed)
+    return SplitAssignment(assignment=assignment)

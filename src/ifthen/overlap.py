@@ -101,13 +101,10 @@ def load_edge_file(stream: IO[str]) -> set[ExternalEdge]:
         if len(cols) != 3:
             raise OverlapError(f"line {line_no}: expected 3 columns, got {len(cols)}")
         relation, start, end = cols
-        edges.add(
-            ExternalEdge(
-                relation=relation,
-                start=normalize_concept(start),
-                end=normalize_concept(end),
-            )
-        )
+        try:
+            edges.add(ExternalEdge(relation, normalize_concept(start), normalize_concept(end)))
+        except OverlapError as exc:
+            raise OverlapError(f"line {line_no}: {exc}") from None
     return edges
 
 

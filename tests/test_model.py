@@ -107,8 +107,8 @@ class TestTopology:
 
     def test_shared_encoder_is_same_object(self):
         params = toy_params(ModelVariant.EventInvolEvent)
-        a = params.cell("encoder/voluntary/fwd").W
-        b = params.cell("encoder/voluntary/fwd").W
+        a = params.arrays["encoder/voluntary/fwd/W"]
+        b = params.arrays["encoder/voluntary/fwd/W"]
         assert a is b
         # The same arrays serve every dimension in the group.
         assert params.grouping[Dimension.xIntent] == params.grouping[Dimension.xWant]

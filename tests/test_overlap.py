@@ -9,6 +9,7 @@ from conftest import make_triple
 
 from oracles import overlap_oracle
 
+from ifthen.cli import run
 from ifthen.graph import build_graph
 from ifthen.overlap import (
     DimensionGroup,
@@ -21,6 +22,9 @@ from ifthen.overlap import (
     triple_overlap,
 )
 from ifthen.taxonomy import Dimension
+
+# The start concept of line 2 is only a person variable.
+EMPTIED_EDGE = "Causes\tsleep\trest\nCauses\tPersonX\tsleep\n"
 
 
 class TestGroupTable:
@@ -220,6 +224,18 @@ class TestEdgeFile:
     def test_bad_column_count(self):
         with pytest.raises(OverlapError):
             load_edge_file(io.StringIO("HasProperty\tonly-two\n"))
+
+    def test_concept_that_normalizes_to_nothing_names_its_line(self):
+        with pytest.raises(OverlapError, match="^line 2: edge fields must be non-empty$"):
+            load_edge_file(io.StringIO(EMPTIED_EDGE))
+
+    def test_overlap_command_names_the_line(self, tmp_path, capsys):
+        atlas, edges = tmp_path / "atlas.tsv", tmp_path / "edges.tsv"
+        atlas.write_text("PersonX runs\txWant\tto rest\ttrain\tw1\n")
+        edges.write_text(EMPTIED_EDGE)
+        assert run(["overlap", "--atlas", str(atlas), "--edges", str(edges),
+                    "--out", str(tmp_path / "overlap.json")]) == 2
+        assert capsys.readouterr().err.startswith("data error: line 2: ")
 
     def test_round_trip_with_triple_overlap(self):
         buf = io.StringIO("MotivatedByGoal\truns\tto rest\n")

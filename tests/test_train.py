@@ -166,7 +166,7 @@ class TestAdam:
     def test_step_equals_textbook_formula(self):
         params = toy_params(seed=5)
         lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
-        opt = AdamOptimizer(params, lr, b1, b2, eps)
+        opt = AdamOptimizer(params, lr)
         expected = {n: a.copy() for n, a in params.arrays.items()}
         m = {n: np.zeros_like(a) for n, a in expected.items()}
         v = {n: np.zeros_like(a) for n, a in expected.items()}
@@ -208,6 +208,8 @@ class TestAdam:
         opt.step(params, {"embedding": grads["embedding"]})
         for name, arr in params.arrays.items():
             assert np.array_equal(arr, before[name]) == (name != "embedding"), name
+        # Moments exist only for the tensors stepped so far.
+        assert list(opt.m) == list(opt.v) == ["embedding"]
         opt.step(params, grads)
         before = {n: a.copy() for n, a in params.arrays.items()}
         with pytest.raises(ValueError, match="decoder/xWant/W_o"):
