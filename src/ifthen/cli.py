@@ -59,6 +59,7 @@ from ifthen.seq2seq import (
     train,
 )
 from ifthen.seq2seq.config import FIELD_MINIMUMS
+from ifthen.seq2seq.gradcheck import MAX_RELATIVE_ERROR
 from ifthen.taxonomy import Dimension
 
 EXIT_OK = 0
@@ -536,6 +537,8 @@ def _cmd_gradcheck(args) -> None:
     print(f"max relative gradient error ({args.variant}): {err:.3e}")
     if math.isnan(err):
         raise NumericError("gradient check produced NaN")
+    if err > MAX_RELATIVE_ERROR:
+        raise NumericError(f"max relative gradient error {err:.3e} exceeds {MAX_RELATIVE_ERROR:g}")
 
 
 def run(argv: list[str] | None = None) -> int:

@@ -1,4 +1,4 @@
-"""Static embedding files: ``token<TAB>f1 f2 ... fd``, UTF-8."""
+"""Static embedding files: ``token<TAB>f1 f2 ... fd`` with d >= 1, UTF-8."""
 
 from __future__ import annotations
 
@@ -26,6 +26,8 @@ def load_embedding_file(stream: IO[str]) -> dict[str, np.ndarray]:
             vec = np.array([float(v) for v in values.split()], dtype=float)
         except ValueError:
             raise EmbeddingFormatError(f"line {line_no}: non-numeric value") from None
+        if not vec.size:
+            raise EmbeddingFormatError(f"line {line_no}: no values")
         if not np.isfinite(vec).all():
             raise EmbeddingFormatError(f"line {line_no}: non-finite value")
         if dim is None:

@@ -8,6 +8,11 @@ import numpy as np
 
 from ifthen.seq2seq.model import ModelParams, TrainingInstance, batch_loss_and_grads, sequence_loss
 
+# The largest max relative error a passing check may report. The default
+# check errs by a few 1e-6; a step of 1e-8 or less drowns the difference in
+# rounding (3.4e-2 at 1e-8, above 1 at 1e-10).
+MAX_RELATIVE_ERROR = 1e-3
+
 
 def gradient_check(
     params: ModelParams,
@@ -47,7 +52,9 @@ def gradient_check(
             idx = int(np.searchsorted(np.cumsum(sizes), pick, side="right"))
             name = names[idx]
             offset = int(pick - (np.cumsum(sizes)[idx] - sizes[idx]))
-            flat = params.arrays[name].reshape(-1)
+            # Written through ``.flat``: a tensor may be a strided view, of
+            # which ``reshape(-1)`` would be a copy the model never reads.
+            flat = params.arrays[name].flat
             orig = flat[offset]
             # A step that overflows the loss gives a non-finite error,
             # reported as NaN below, not as a warning.
@@ -58,7 +65,7 @@ def gradient_check(
                 loss_minus = sequence_loss(params, instance)
             flat[offset] = orig
             numeric = (loss_plus - loss_minus) / (2.0 * epsilon)
-            analytic = float(grads[name].reshape(-1)[offset])
+            analytic = float(grads[name].flat[offset])
             # Floor shields near-zero coordinates, where the central
             # difference is dominated by cancellation noise, without
             # weakening the check for meaningful gradient magnitudes.

@@ -38,7 +38,6 @@ one group.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -303,8 +302,7 @@ class _Batch:
         return out
 
 
-@functools.lru_cache(maxsize=1024)
-def _layout(live: tuple[tuple[int, ...], ...]):
+def _layout(live):
     """Where a :class:`_Recurrence` keeps the rows of groups whose live
     counts per step are ``live[g]``.
 
@@ -313,7 +311,6 @@ def _layout(live: tuple[tuple[int, ...], ...]):
     of every group's run of every block, the rows of each group's initial
     states, and per step the block's bounds, its runs ``(g, lo, hi)``
     counted from the block's start, and the rows of its previous states.
-    Cached: generation encodes one event per call, and lengths repeat.
     """
     counts = np.zeros((max(map(len, live)) + 1, len(live)), dtype=np.intp)
     for g, per_step in enumerate(live):
@@ -325,7 +322,6 @@ def _layout(live: tuple[tuple[int, ...], ...]):
     first = int(counts[0].sum())
     prev = np.arange(first, starts[-1, -1] + counts[-1, -1]) - np.repeat(moved.ravel(),
                                                                         counts[1:].ravel())
-    starts.flags.writeable = prev.flags.writeable = False
     firsts, rows = starts.tolist(), counts.tolist()
     bounds, runs, prevs = [], [], []
     for run_starts, run_rows, shifts in zip(firsts[1:], rows[1:], moved.tolist()):
@@ -336,8 +332,8 @@ def _layout(live: tuple[tuple[int, ...], ...]):
         shift = {d for d, n in zip(shifts, run_rows) if n}
         prevs.append(slice(lo - min(shift), hi - min(shift)) if len(shift) == 1
                      else prev[lo - first : hi - first])
-    h0_rows = tuple(slice(s, s + n) for s, n in zip(firsts[0], rows[0]))
-    return starts, h0_rows, tuple(bounds), tuple(runs), tuple(prevs)
+    h0_rows = [slice(s, s + n) for s, n in zip(firsts[0], rows[0])]
+    return starts, h0_rows, bounds, runs, prevs
 
 
 class _Recurrence:
@@ -360,7 +356,7 @@ class _Recurrence:
         hidden = arrays[f"{prefixes[0]}/U"].shape[1]
         self.blocks = list(zip(*(_blocks(arrays[f"{p}/U"], hidden) for p in prefixes)))
         starts, self.h0_rows, self.bounds, self.runs, self.prev = _layout(
-            tuple(tuple(b.live.tolist()) for b in batches))
+            [b.live for b in batches])
         # Each group's packed rows.
         self.index = [_span(starts[b.steps + 1, g] + b.pos) for g, b in enumerate(batches)]
         self.x = [params.arrays["embedding"][i] for i in ids]

@@ -39,23 +39,20 @@ class AdamOptimizer:
         size = max(_BLOCK, widest_row)
         self._scratch = (np.empty(size), np.empty(size))
 
-    def step(self, params: ModelParams, grads: dict[str, np.ndarray]) -> None:
-        """Update exactly the tensors named in ``grads``.
-
-        A tensor left out keeps its parameters and moments; that equals
-        the textbook step only while its moments are zero, so leaving out a
-        tensor that an earlier step updated raises :class:`ValueError`.
+    def step(self, params: ModelParams, grads: dict[str, np.ndarray], names: list[str]) -> None:
+        """Update the tensors in ``names`` and every tensor stepped before,
+        from their gradients in ``grads``, as the textbook step would: one
+        never named has no moments yet, and its update would be exactly zero.
         """
-        missing = self.m.keys() - grads.keys()
-        if missing:
-            raise ValueError(f"no gradient for previously updated tensors {sorted(missing)}")
+        for name in names:
+            if name not in self.m:
+                shape = params.arrays[name].shape
+                self.m[name], self.v[name] = np.zeros(shape), np.zeros(shape)
         self.t += 1
         bc1 = 1.0 - _B1 ** self.t
         bc2 = 1.0 - _B2 ** self.t
-        for name, grad in grads.items():
-            param = params.arrays[name]
-            if name not in self.m:
-                self.m[name], self.v[name] = np.zeros(param.shape), np.zeros(param.shape)
+        for name in self.m:
+            param, grad = params.arrays[name], grads[name]
             rows = max(1, _BLOCK * len(param) // param.size)
             for lo in range(0, len(param), rows):
                 rs = slice(lo, lo + rows)
@@ -119,22 +116,21 @@ def train(
     optimizer = AdamOptimizer(params, config.learning_rate)
     grads = params.zero_grads()
     reach = {dim: set(params.tensors_of(dim)) for dim in params.decoder_dims}
-    touched: dict[str, np.ndarray] = {}
-    live: dict[str, np.ndarray] = {}
+    names: list[str] = []
     trace: list[float] = []
     for epoch in range(config.epochs):
         perm = rng.permutation(len(dataset))
         dim_totals: dict[Dimension, tuple[float, int]] = {}
         for start in range(0, len(dataset), config.batch_size):
             batch = [dataset[i] for i in perm[start : start + config.batch_size]]
-            for g in touched.values():
-                g.fill(0.0)
-            names = set().union(*(reach[inst.dimension] for inst in batch))
-            touched = {n: g for n, g in grads.items() if n in names}
+            for name in names:
+                grads[name].fill(0.0)
+            reached = set().union(*(reach[inst.dimension] for inst in batch))
+            names = [n for n in params.param_order if n in reached]
             # Overflow shows as a non-finite loss or norm, raised below.
             with np.errstate(over="ignore", invalid="ignore"):
                 losses = batch_loss_and_grads(params, batch, grads)
-                norm = clip_gradients(touched, config.clip_norm)
+                norm = clip_gradients({n: grads[n] for n in names}, config.clip_norm)
             if not np.isfinite(losses).all():
                 raise NumericError(f"non-finite loss at epoch {epoch}, batch start {start}")
             for inst, loss in zip(batch, losses.tolist()):
@@ -144,9 +140,8 @@ def train(
                 raise NumericError(
                     f"non-finite gradient norm {norm} at epoch {epoch}, batch start {start}"
                 )
-            live.update(touched)
             if config.learning_rate != 0.0:
-                optimizer.step(params, live)
+                optimizer.step(params, grads, names)
         epoch_mean = sum(t / c for t, c in dim_totals.values()) / len(dim_totals)
         trace.append(epoch_mean)
         log.debug("epoch %d: mean loss %.6f", epoch, epoch_mean)

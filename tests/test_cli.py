@@ -20,6 +20,7 @@ from ifthen.overlap import OverlapError
 from ifthen.seq2seq import ModelConfig
 from ifthen.seq2seq.checkpoint import CheckpointError
 from ifthen.seq2seq.embeddings import EmbeddingFormatError
+from ifthen.seq2seq.gradcheck import MAX_RELATIVE_ERROR
 from ifthen.seq2seq.model import _param_shapes
 
 ATLAS = """\
@@ -423,6 +424,15 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not gen.exists()
 
+    def test_embedding_line_without_values_is_data_error(self, atlas, tmp_path, capsys):
+        emb = tmp_path / "emb.tsv"
+        emb.write_text("personx\t\nruns\t\n")
+        gen = tmp_path / "nn.jsonl"
+        assert run(["generate", "--nearest", "--embeddings", str(emb), "--atlas", atlas,
+                    "--out", str(gen)]) == 2
+        assert capsys.readouterr().err == "data error: line 1: no values\n"
+        assert not gen.exists()
+
     @pytest.mark.parametrize("field, constant", [
         pytest.param("-0.5", value, id=value)
         for value in ["-Infinity", "NaN", "-1e999", "1e999", "null", "-1" + "0" * 400, "true"]
@@ -448,6 +458,20 @@ class TestExitCodes:
     def test_overflowing_gradcheck_step_is_numeric_failure(self, capsys):
         assert run(["gradcheck", "--epsilon", "1e300", "--samples", "8"]) == 3
         assert capsys.readouterr().err == "numeric failure: gradient check produced NaN\n"
+
+    @pytest.mark.parametrize("epsilon", ["1e-10", "1e-12"])
+    def test_gradcheck_above_its_tolerance_is_numeric_failure(self, capsys, epsilon):
+        # A step this small drowns the central difference in rounding.
+        assert run(["gradcheck", "--epsilon", epsilon]) == 3
+        captured = capsys.readouterr()
+        err = float(captured.out.rsplit(" ", 1)[1])
+        assert err > MAX_RELATIVE_ERROR
+        assert captured.err == (f"numeric failure: max relative gradient error {err:.3e} "
+                                f"exceeds {MAX_RELATIVE_ERROR:g}\n")
+
+    def test_gradcheck_with_one_unit_per_encoder_direction_passes(self, capsys):
+        assert run(["gradcheck", "--hidden", "1", "--samples", "50"]) == 0
+        assert float(capsys.readouterr().out.rsplit(" ", 1)[1]) < MAX_RELATIVE_ERROR
 
     def test_size_far_beyond_memory_is_data_error(self, capsys):
         # 213 PiB for the embedding alone: refused at once, nothing is allocated.

@@ -16,6 +16,8 @@ def test_loads_vectors_skipping_comments_and_blank_lines():
     ("walks 1 2\n", "line 1: expected token<TAB>floats"),
     ("walks\t1 two\n", "line 1: non-numeric value"),
     ("walks\t1 2\nruns\t1 2 3\n", "line 2: dimension 3 != 2"),
+    ("walks\t\n", "line 1: no values"),
+    ("walks\t1 2\nruns\t  \n", "line 2: no values"),
 ])
 def test_malformed_line_named(text, message):
     with pytest.raises(EmbeddingFormatError, match=message):

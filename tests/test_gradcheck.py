@@ -6,6 +6,7 @@ import pytest
 from conftest import random_instance, toy_params
 
 from ifthen.seq2seq import ModelVariant, gradient_check
+from ifthen.seq2seq.gradcheck import MAX_RELATIVE_ERROR
 from ifthen.seq2seq.model import TrainingInstance, batch_loss_and_grads, sequence_loss
 
 
@@ -24,6 +25,21 @@ def test_all_variants_pass(variant):
     assert gradient_check(params, inst, seed=0) < 1e-3
 
 
+@pytest.mark.parametrize("variant", [ModelVariant.Single9, ModelVariant.EventInvolEvent])
+def test_perturbs_strided_cell_weights(variant):
+    # Each encoder direction has hidden size 1 here, so its W and U are
+    # strided views into one draw; the check must perturb the model's own
+    # arrays, not copies.
+    params = toy_params(variant, hidden=2, seed=1)
+    inst = random_instance(params, np.random.default_rng(3))
+    names = params.tensors_of(inst.dimension)
+    assert any(not params.arrays[n].flags.c_contiguous for n in names)
+    before = {n: a.copy() for n, a in params.arrays.items()}
+    assert gradient_check(params, inst, num_samples=100, seed=0) < MAX_RELATIVE_ERROR
+    for name, arr in params.arrays.items():
+        np.testing.assert_array_equal(arr, before[name], err_msg=name)
+
+
 def test_output_projection_near_exact():
     # On a length-1 target, the cross-entropy is nearly quadratic in the
     # output layer around the operating point, so central differences with
@@ -37,7 +53,7 @@ def test_output_projection_near_exact():
     rng = np.random.default_rng(0)
     for _ in range(10):
         idx = int(rng.integers(params.arrays[name].size))
-        flat = params.arrays[name].reshape(-1)
+        flat = params.arrays[name].flat
         orig = flat[idx]
         eps = 1e-5
         flat[idx] = orig + eps
@@ -46,7 +62,7 @@ def test_output_projection_near_exact():
         down = sequence_loss(params, inst)
         flat[idx] = orig
         numeric = (up - down) / (2 * eps)
-        analytic = grads[name].reshape(-1)[idx]
+        analytic = grads[name].flat[idx]
         assert abs(numeric - analytic) < 1e-6
 
 

@@ -173,7 +173,7 @@ class TestAdam:
         rng = np.random.default_rng(0)
         for t in range(1, 4):
             grads = {n: rng.normal(size=a.shape) for n, a in expected.items()}
-            opt.step(params, grads)
+            opt.step(params, grads, list(grads))
             for n, g in grads.items():
                 m[n] = b1 * m[n] + (1 - b1) * g
                 v[n] = b2 * v[n] + (1 - b2) * g * g
@@ -192,7 +192,7 @@ class TestAdam:
         rng = np.random.default_rng(1)
         for t in range(1, 3):
             grads = {n: rng.normal(size=a.shape) for n, a in expected.items()}
-            opt.step(params, grads)
+            opt.step(params, grads, list(grads))
             for n, g in grads.items():
                 m[n] = b1 * m[n] + (1 - b1) * g
                 v[n] = b2 * v[n] + (1 - b2) * g * g
@@ -200,23 +200,40 @@ class TestAdam:
                     np.sqrt(v[n] / (1 - b2**t)) + eps)
                 np.testing.assert_array_equal(params.arrays[n], expected[n], err_msg=n)
 
-    def test_step_updates_named_tensors_and_never_drops_one(self):
+    def test_step_keeps_stepping_a_tensor_left_out_of_names(self):
+        # The decoder is named once, then left out: later steps still move
+        # it, from its zero gradient, exactly as the textbook step does.
         params = toy_params(seed=5)
-        opt = AdamOptimizer(params, 1e-2)
-        grads = {n: np.ones_like(a) for n, a in params.arrays.items()}
+        lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
+        opt = AdamOptimizer(params, lr)
+        dec = "decoder/xWant/W_o"
+        grads = {n: np.zeros_like(a) for n, a in params.arrays.items()}
         before = {n: a.copy() for n, a in params.arrays.items()}
-        opt.step(params, {"embedding": grads["embedding"]})
+        rng = np.random.default_rng(2)
+        grads["embedding"][:] = rng.normal(size=grads["embedding"].shape)
+        opt.step(params, grads, ["embedding"])
         for name, arr in params.arrays.items():
             assert np.array_equal(arr, before[name]) == (name != "embedding"), name
-        # Moments exist only for the tensors stepped so far.
+        # Moments exist only for the tensors named so far.
         assert list(opt.m) == list(opt.v) == ["embedding"]
-        opt.step(params, grads)
-        before = {n: a.copy() for n, a in params.arrays.items()}
-        with pytest.raises(ValueError, match="decoder/xWant/W_o"):
-            opt.step(params, {"embedding": grads["embedding"]})
-        assert opt.t == 2
+        expected = params.arrays[dec].copy()
+        g = rng.normal(size=expected.shape)
+        grads[dec][:] = g
+        opt.step(params, grads, ["embedding", dec])
+        m, v = (1 - b1) * g, (1 - b2) * g * g
+        expected = expected - lr * (m / (1 - b1**2)) / (np.sqrt(v / (1 - b2**2)) + eps)
+        np.testing.assert_array_equal(params.arrays[dec], expected)
+        grads[dec].fill(0.0)
+        opt.step(params, grads, ["embedding"])
+        m, v = b1 * m + (1 - b1) * grads[dec], b2 * v + (1 - b2) * grads[dec] * grads[dec]
+        moved = expected - lr * (m / (1 - b1**3)) / (np.sqrt(v / (1 - b2**3)) + eps)
+        assert not np.array_equal(moved, expected)
+        np.testing.assert_array_equal(params.arrays[dec], moved)
+        assert opt.t == 3
+        assert list(opt.m) == list(opt.v) == ["embedding", dec]
         for name, arr in params.arrays.items():
-            np.testing.assert_array_equal(arr, before[name], err_msg=name)
+            if name not in opt.m:
+                np.testing.assert_array_equal(arr, before[name], err_msg=name)
 
 
 class TestTrain:
