@@ -378,11 +378,14 @@ def _cmd_split(args) -> None:
     else:
         stopwords = default_stopwords()
     assignment = split_events(list(graph.events), ratios, args.seed, stopwords)
-    _write_json({ev: s.value for ev, s in sorted(assignment.assignment.items())}, args.out)
+    text = json.dumps({ev: s.value for ev, s in assignment.assignment.items()},
+                      indent=2, sort_keys=True)
+    with atomic_write(args.out) as fh:
+        fh.write(text + "\n")
     counts = {s.value: 0 for s in Split}
     for s in assignment.assignment.values():
         counts[s.value] += 1
-    print(f"split sizes: {counts}", file=sys.stderr)
+    print(f"split sizes: {counts}")
 
 
 def _cmd_train(args) -> None:

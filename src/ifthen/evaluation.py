@@ -249,7 +249,9 @@ def write_sheet(sheet: JudgmentSheet, stream: IO[str]) -> None:
 
 def read_sheet(stream: IO[str]) -> JudgmentSheet:
     """Parse a judgment sheet; a row's vote columns are both blank or both
-    filled, with at least one judge and at most that many valid votes."""
+    filled, with at least one judge and at most that many valid votes, and
+    each (event, dimension) has at most one row of each rank from 1 to
+    ``ROWS_PER_PAIR``."""
     lines = iter(enumerate(stream, start=1))
     try:
         _, header = next(lines)
@@ -257,7 +259,7 @@ def read_sheet(stream: IO[str]) -> JudgmentSheet:
         raise EvalError("empty judgment sheet") from None
     if header.rstrip("\n").split("\t") != list(SHEET_COLUMNS):
         raise EvalError(f"bad sheet header, expected {SHEET_COLUMNS}")
-    rows = []
+    rows, seen = [], {}
     for line_no, line in lines:
         line = line.rstrip("\n")
         if not line.strip():
@@ -274,6 +276,12 @@ def read_sheet(stream: IO[str]) -> JudgmentSheet:
             rank, dimension = int(rank), Dimension(dim)
         except ValueError as exc:
             raise EvalError(f"line {line_no}: {exc}") from None
+        if not 1 <= rank <= ROWS_PER_PAIR:
+            raise EvalError(f"line {line_no}: rank {rank} is outside 1..{ROWS_PER_PAIR}")
+        first = seen.setdefault((event, dimension, rank), line_no)
+        if first != line_no:
+            raise EvalError(f"line {line_no}: rank {rank} of {event!r} {dim} "
+                            f"repeats line {first}")
         if judges_total is not None and not (
             judges_total >= 1 and 0 <= votes_valid <= judges_total
         ):

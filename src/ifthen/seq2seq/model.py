@@ -18,12 +18,11 @@ their pieces. Each cell is three tensors, ``W (3H, I)``, ``U (3H, H)``
 and ``b (3H,)``, whose row blocks are its z, r and n gates; parameters,
 gradients, optimizer state and checkpoints all use this layout. A batch
 is grouped by encoder for the encoder pass and by dimension for the
-decoder pass. Each group's sequences are sorted longest first and their
-positions packed time-major, so at step t the live rows are a prefix of
-the group. The input projection of all timesteps is one GEMM per group,
-leaving only ``U h`` in the recurrence, and every weight gradient is one
-GEMM over all valid timesteps (the cuDNN RNN recipe of Appleyard et al.
-2016, arXiv:1604.01946, on CPU BLAS).
+decoder pass, and :class:`_Recurrence` alone sorts, packs and lays out
+the rows of every group. The input projection of all timesteps is one
+GEMM per group, leaving only ``U h`` in the recurrence, and every weight
+gradient is one GEMM over all valid timesteps (the cuDNN RNN recipe of
+Appleyard et al. 2016, arXiv:1604.01946, on CPU BLAS).
 
 Independent recurrences share one time loop, as cuDNN batches them:
 every decoder of a batch runs in one loop, and so do both directions of
@@ -271,121 +270,103 @@ def _span(rows: np.ndarray):
     return rows
 
 
-class _Batch:
-    """Sequences sorted longest first and packed time-major.
-
-    Step t has ``live[t]`` packed rows, which belong to the first
-    ``live[t]`` sorted sequences; packed row k is position ``steps[k]`` of
-    sorted sequence ``pos[k]``, and ``last`` is the packed row of each
-    sorted sequence's final position.
-    """
-
-    def __init__(self, seqs):
-        lengths = np.array([len(s) for s in seqs])
-        self.order = np.argsort(-lengths, kind="stable")
-        self.lengths = lengths[self.order]
-        mask = np.arange(self.lengths[0])[:, None] < self.lengths
-        self.live = mask.sum(axis=1)
-        self.steps, self.pos = np.nonzero(mask)
-        offsets = np.concatenate(([0], np.cumsum(self.live)))
-        self.last = offsets[self.lengths - 1] + np.arange(len(seqs))
-        # Each packed row's place among the sorted sequences laid end to end.
-        self.source = (np.cumsum(self.lengths) - self.lengths)[self.pos] + self.steps
-
-    def pack(self, seqs) -> np.ndarray:
-        ids = itertools.chain.from_iterable(seqs[i] for i in self.order.tolist())
-        return np.fromiter(ids, dtype=np.intp, count=self.lengths.sum())[self.source]
-
-    def unsort(self, rows: np.ndarray) -> np.ndarray:
-        out = np.empty_like(rows)
-        out[self.order] = rows
-        return out
-
-
-def _layout(live):
-    """Where a :class:`_Recurrence` keeps the rows of groups whose live
-    counts per step are ``live[g]``.
-
-    Block 0 of its ``states`` holds the initial states and block t + 1 the
-    states after step t, each block group by group. Returns the first row
-    of every group's run of every block, the rows of each group's initial
-    states, and per step the block's bounds, its runs ``(g, lo, hi)``
-    counted from the block's start, and the rows of its previous states.
-    """
-    counts = np.zeros((max(map(len, live)) + 1, len(live)), dtype=np.intp)
-    for g, per_step in enumerate(live):
-        counts[1 : len(per_step) + 1, g] = per_step
-    counts[0] = counts[1]
-    starts = np.cumsum(counts).reshape(counts.shape) - counts
-    # A run's previous states sit as far back as its group's run moved.
-    moved = starts[1:] - starts[:-1]
-    first = int(counts[0].sum())
-    prev = np.arange(first, starts[-1, -1] + counts[-1, -1]) - np.repeat(moved.ravel(),
-                                                                        counts[1:].ravel())
-    firsts, rows = starts.tolist(), counts.tolist()
-    bounds, runs, prevs = [], [], []
-    for run_starts, run_rows, shifts in zip(firsts[1:], rows[1:], moved.tolist()):
-        lo, hi = run_starts[0], run_starts[-1] + run_rows[-1]
-        bounds.append((lo, hi))
-        runs.append(tuple((g, s - lo, s - lo + n)
-                          for g, (s, n) in enumerate(zip(run_starts, run_rows)) if n))
-        shift = {d for d, n in zip(shifts, run_rows) if n}
-        prevs.append(slice(lo - min(shift), hi - min(shift)) if len(shift) == 1
-                     else prev[lo - first : hi - first])
-    h0_rows = [slice(s, s + n) for s, n in zip(firsts[0], rows[0])]
-    return starts, h0_rows, bounds, runs, prevs
-
-
 class _Recurrence:
-    """Cells run side by side, each over its own packed batch, in one time loop.
+    """Cells run side by side, each over its own group of sequences, in one
+    time loop.
 
-    Group g runs the cell ``prefixes[g]`` over ``batches[g]``, fed the
-    packed ids ``ids[g]`` and started from ``h0[g]``, sorted like the
-    batch; all cells share one hidden size H. Rows are laid out step by
-    step and, within a step, group by group, each group's live rows in
-    sorted order. So step t is one block of rows, one :func:`gru_step`
-    (and one :func:`gru_step_backward` on the way back) covers every
-    group, each group's rows are one run of the block, and there is no
-    padding. ``states`` holds the initial states, then each step's block.
+    Group g runs the cell ``prefixes[g]`` over the id sequences ``seqs[g]``,
+    started from ``h0[g]``, both in input order; all cells share one hidden
+    size H. Each group is sorted longest first, so at step t its live
+    sequences are a prefix of it. ``states`` holds the initial states, then
+    each step's block of rows; a block is laid out group by group, each
+    group's live rows in sorted order. So one :func:`gru_step` (and one
+    :func:`gru_step_backward` on the way back) advances every group, each
+    group's rows are one run of the block, and there is no padding.
+
+    A group's packed rows are its states after each step, time-major. For
+    each one, ``seq[g]`` names its sequence (in input order) and
+    ``lengths[g]`` holds every sequence's length.
     """
 
-    def __init__(self, params: ModelParams, prefixes, batches, ids, h0):
-        self.prefixes, self.batches, self.ids = prefixes, batches, ids
+    def __init__(self, params: ModelParams, prefixes, seqs, h0):
+        self.prefixes = prefixes
         arrays = params.arrays
         self.w = [arrays[f"{prefix}/W"] for prefix in prefixes]
         hidden = arrays[f"{prefixes[0]}/U"].shape[1]
         self.blocks = list(zip(*(_blocks(arrays[f"{p}/U"], hidden) for p in prefixes)))
-        starts, self.h0_rows, self.bounds, self.runs, self.prev = _layout(
-            [b.live for b in batches])
-        # Each group's packed rows.
-        self.index = [_span(starts[b.steps + 1, g] + b.pos) for g, b in enumerate(batches)]
-        self.x = [params.arrays["embedding"][i] for i in ids]
+        self.lengths = [np.fromiter(map(len, group), np.intp, len(group)) for group in seqs]
+        orders = [np.argsort(-n, kind="stable") for n in self.lengths]
+        edges = np.cumsum([0, *map(len, seqs)])
+        col_lengths = np.concatenate([n[order] for n, order in zip(self.lengths, orders)])
+        # Column c is the c-th sorted sequence, group after group. Row 0
+        # marks every initial state and row t + 1 each sequence still alive
+        # after step t; numbering the marks row by row numbers the states.
+        mask = np.arange(-1, col_lengths.max())[:, None] < col_lengths
+        place = np.cumsum(mask).reshape(mask.shape) - 1
+        counts = np.add.reduceat(mask, edges[:-1], axis=1, dtype=np.intp)
+        starts = np.cumsum(counts).reshape(counts.shape) - counts
+        # Each step's previous states, step after step, in the order of its rows.
+        prev = place[:-1][mask[1:]]
+        self.bounds, self.runs, self.prev = [], [], []
+        for run_starts, run_rows in zip(starts[1:].tolist(), counts[1:].tolist()):
+            lo, hi = run_starts[0], run_starts[-1] + run_rows[-1]
+            self.bounds.append((lo, hi))
+            self.runs.append([(g, s - lo, s - lo + n)
+                              for g, (s, n) in enumerate(zip(run_starts, run_rows)) if n])
+            self.prev.append(_span(prev[lo - len(col_lengths) : hi - len(col_lengths)]))
+        self.index, self.seq, self.source, self.first, self.last = [], [], [], [], []
+        for g, (order, n) in enumerate(zip(orders, self.lengths)):
+            start = edges[g]
+            steps, pos = np.nonzero(mask[1:, start : start + len(n)])
+            col = np.empty_like(order)  # each sequence's column
+            col[order] = np.arange(start, start + len(n))
+            self.index.append(_span(place[steps + 1, pos + start]))
+            self.seq.append(order[pos])
+            self.source.append((np.cumsum(n) - n)[self.seq[g]] + steps)
+            self.first.append(place[0, col])
+            self.last.append(place[n, col])
+        self.ids = [self.pack(g, group) for g, group in enumerate(seqs)]
+        self.x = [arrays["embedding"][i] for i in self.ids]
         gx = np.empty((self.bounds[-1][1], 3 * hidden))
         for index, x, w, prefix in zip(self.index, self.x, self.w, prefixes):
             gx[index] = x @ w.T + arrays[f"{prefix}/b"]
         self.states = states = np.empty((self.bounds[-1][1], hidden))
-        states[: self.bounds[0][0]] = np.concatenate(h0)
+        for first, h in zip(self.first, h0):
+            states[first] = h
         self.caches = []
         for (lo, hi), runs, rows in zip(self.bounds, self.runs, self.prev):
             h, cache = gru_step(self.blocks, gx[lo:hi], states[rows], runs)
             states[lo:hi] = h
             self.caches.append(cache)
 
+    def pack(self, g: int, seqs) -> np.ndarray:
+        """Ids ``seqs``, one sequence as long as each of group g's, in input
+        order, laid out like group g's packed rows."""
+        ids = itertools.chain.from_iterable(seqs)
+        return np.fromiter(ids, dtype=np.intp, count=self.lengths[g].sum())[self.source[g]]
+
     def packed(self, g: int) -> np.ndarray:
-        """Group g's states after each step, packed like its batch."""
+        """Group g's states after each step, packed."""
         return self.states[self.index[g]]
 
-    def backward(self, dstates, grads) -> list[np.ndarray]:
-        """Accumulate the gradients into ``grads``; return each group's
-        initial-state gradient, sorted like its batch.
+    def final(self, g: int) -> np.ndarray:
+        """Each of group g's final states, in input order."""
+        return self.states[self.last[g]]
 
-        ``dstates[g]`` is the gradient reaching group g's states from
-        outside the recurrence, packed like its batch.
+    def backward(self, dstates, grads, dfinal=()) -> list[np.ndarray]:
+        """Accumulate the gradients into ``grads``; return each group's
+        initial-state gradient, in input order.
+
+        The gradient reaching group g's states from outside the recurrence
+        is ``dstates[g]``, packed, and ``dfinal[g]`` at its final states, in
+        input order; either list may be empty.
         """
-        ds = np.empty(self.states.shape)
+        ds = np.zeros(self.states.shape)
         ds[: self.bounds[0][0]] = -0.0  # x + -0.0 is x, bit for bit
         for index, d in zip(self.index, dstates):
             ds[index] = d
+        for last, d in zip(self.last, dfinal):
+            ds[last] = d
         hidden = ds.shape[1]
         dpre = np.empty((len(ds), 3 * hidden))
         steps = zip(self.bounds, self.runs, self.prev, self.caches)
@@ -407,7 +388,7 @@ class _Recurrence:
             g_u[zr:] += d[:, zr:].T @ rh[index]
             grads[f"{prefix}/b"] += d.sum(axis=0)
             np.add.at(grads["embedding"], self.ids[g], d @ self.w[g])
-        return [ds[rows] for rows in self.h0_rows]
+        return [ds[first] for first in self.first]
 
 
 class _Encoder:
@@ -419,37 +400,30 @@ class _Encoder:
     def __init__(self, params: ModelParams, events: dict[str, list]):
         if any(len(e) == 0 for group in events.values() for e in group):
             raise ValueError("cannot encode an empty event sequence")
-        self.batches = {eid: _Batch(group) for eid, group in events.items()}
-        prefixes, batches, ids = [], [], []
+        prefixes, seqs = [], []
         for eid, group in events.items():
-            b = self.batches[eid]
-            for direction, seqs in (("fwd", group), ("bwd", [e[::-1] for e in group])):
-                prefixes.append(f"encoder/{eid}/{direction}")
-                batches.append(b)
-                ids.append(b.pack(seqs))
+            prefixes += [f"encoder/{eid}/fwd", f"encoder/{eid}/bwd"]
+            seqs += [group, [e[::-1] for e in group]]
         half = params.config.enc_hidden // 2
-        self.rnn = _Recurrence(params, prefixes, batches, ids,
-                               [np.zeros((len(b.lengths), half)) for b in batches])
+        self.rnn = _Recurrence(params, prefixes, seqs,
+                               [np.zeros((len(group), half)) for group in seqs])
         self.w_b = {eid: params.arrays[f"bridge/{eid}/W"] for eid in events}
         self.h, self.s0 = {}, {}
-        for k, (eid, b) in enumerate(self.batches.items()):
-            final = [self.rnn.packed(g)[b.last] for g in (2 * k, 2 * k + 1)]
-            self.h[eid] = b.unsort(np.concatenate(final, axis=1))
+        for k, eid in enumerate(events):
+            self.h[eid] = np.concatenate([self.rnn.final(2 * k), self.rnn.final(2 * k + 1)],
+                                         axis=1)
             self.s0[eid] = self.h[eid] @ self.w_b[eid].T + params.arrays[f"bridge/{eid}/b"]
 
     def backward(self, ds0: dict[str, np.ndarray], grads) -> None:
         """Accumulate the gradients reaching each encoder's ``s0`` into ``grads``."""
-        dstates = []
-        for eid, b in self.batches.items():
-            grads[f"bridge/{eid}/W"] += ds0[eid].T @ self.h[eid]
+        dfinal = []
+        for eid, h in self.h.items():
+            grads[f"bridge/{eid}/W"] += ds0[eid].T @ h
             grads[f"bridge/{eid}/b"] += ds0[eid].sum(axis=0)
-            dh = (ds0[eid] @ self.w_b[eid])[b.order]
+            dh = ds0[eid] @ self.w_b[eid]
             half = dh.shape[1] // 2
-            for d_final in (dh[:, :half], dh[:, half:]):
-                d = np.zeros((len(b.pos), half))
-                d[b.last] = d_final
-                dstates.append(d)
-        self.rnn.backward(dstates, grads)
+            dfinal += [dh[:, :half], dh[:, half:]]
+        self.rnn.backward((), grads, dfinal)
 
 
 class _Decoder:
@@ -460,22 +434,19 @@ class _Decoder:
     def __init__(self, params: ModelParams, targets: dict[Dimension, list], s0):
         vocab = params.vocab
         self.params = params
-        self.golds, batches, ids, h0 = [], [], [], []
-        for dim, group in targets.items():
-            inputs = [(vocab.bos_id, *t) for t in group]
-            b = _Batch(inputs)
-            batches.append(b)
-            ids.append(b.pack(inputs))
-            h0.append(s0[dim][b.order])
-            self.golds.append(b.pack([(*t, vocab.eos_id) for t in group]))
-        self.rnn = _Recurrence(params, [f"decoder/{d.value}" for d in targets], batches, ids, h0)
+        self.rnn = _Recurrence(params, [f"decoder/{d.value}" for d in targets],
+                               [[(vocab.bos_id, *t) for t in group] for group in targets.values()],
+                               [s0[dim] for dim in targets])
+        self.golds = [self.rnn.pack(g, [(*t, vocab.eos_id) for t in group])
+                      for g, group in enumerate(targets.values())]
 
     def output(self, g: int, grads=None, weight: float = 1.0):
         """Group g's instance losses, in input order, and with ``grads`` the
         gradient reaching its states (packed), after accumulating ``weight``
         times the gradient of every instance loss through the output layer."""
-        b, golds, prefix = self.rnn.batches[g], self.golds[g], self.rnn.prefixes[g]
-        states = self.rnn.packed(g)
+        rnn, golds = self.rnn, self.golds[g]
+        seq, lengths, prefix = rnn.seq[g], rnn.lengths[g], rnn.prefixes[g]
+        states = rnn.packed(g)
         probs = _output(self.params, prefix, states)
         rows = np.arange(len(golds))
         # A gold probability that underflowed to 0 gives an infinite loss,
@@ -483,12 +454,12 @@ class _Decoder:
         with np.errstate(divide="ignore"):
             nll = -np.log(probs[rows, golds])
         # Per instance: mean token cross entropy, summed in time order.
-        losses = b.unsort(np.bincount(b.pos, weights=nll) / b.lengths)
+        losses = np.bincount(seq, weights=nll) / lengths
         if grads is None:
             return losses, None
         dlogits = probs
         dlogits[rows, golds] -= 1.0
-        dlogits *= (weight / b.lengths)[b.pos, None]
+        dlogits *= (weight / lengths)[seq, None]
         grads[f"{prefix}/W_o"] += dlogits.T @ states
         grads[f"{prefix}/b_o"] += dlogits.sum(axis=0)
         return losses, dlogits @ self.params.arrays[f"{prefix}/W_o"]
@@ -557,8 +528,8 @@ def batch_loss_and_grads(
         losses[rows], d = dec.output(g, grads, 1.0 / (len(by_dim) * len(rows)))
         dstates.append(d)
     ds0 = np.empty((len(batch), params.config.dec_hidden))
-    for rows, b, d in zip(by_dim.values(), dec.rnn.batches, dec.rnn.backward(dstates, grads)):
-        ds0[rows] = b.unsort(d)
+    for rows, d in zip(by_dim.values(), dec.rnn.backward(dstates, grads)):
+        ds0[rows] = d
     enc.backward({eid: ds0[rows] for eid, rows in by_encoder.items()}, grads)
     return losses
 

@@ -199,6 +199,14 @@ class TestDataCommands:
         assert len(data) == 4
         assert set(data.values()) <= {"train", "dev", "test"}
 
+    def test_split_prints_only_its_sizes(self, atlas, tmp_path, capsys):
+        out = tmp_path / "split.json"
+        assert run(["split", "--atlas", atlas, "--out", str(out), "--ratios", "1,0,0"]) == 0
+        assert capsys.readouterr().out == "split sizes: {'train': 4, 'dev': 0, 'test': 0}\n"
+        assert out.read_text() == (
+            '{\n  "PersonX bakes bread": "train",\n  "PersonX calls PersonY": "train",\n'
+            '  "PersonX runs home": "train",\n  "PersonX walks the dog": "train"\n}\n')
+
     def test_overlap(self, atlas, tmp_path):
         edges = tmp_path / "edges.tsv"
         edges.write_text("MotivatedByGoal\truns home\trest\n")
@@ -323,6 +331,16 @@ class TestEvalCommands:
         assert run(["precision", "--sheet", self.make_sheet(tmp_path, "7\t5"),
                     "--out", str(out)]) == 2
         assert "7 of 5 judges" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_precision_repeated_rank_exit_2(self, tmp_path, capsys):
+        sheet = self.make_sheet(tmp_path, "5\t5")
+        with open(sheet, "a", encoding="utf-8") as fh:
+            fh.write("PersonX runs home\txWant\t1\tgen 10\t1\t5\n")
+        out = tmp_path / "p.json"
+        assert run(["precision", "--sheet", sheet, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "data error: line 12: rank 1 of 'PersonX runs home' xWant repeats line 2"]
         assert not out.exists()
 
     def test_precision_non_integer_votes_exit_2(self, tmp_path, capsys):

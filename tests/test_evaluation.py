@@ -328,6 +328,18 @@ class TestHumanEvalSheet:
         with pytest.raises(EvalError, match="line 3"):
             read_sheet(buf)
 
+    @pytest.mark.parametrize(
+        "ranks,bad_line",
+        [([1, 0], 3), ([1, 11], 3), ([-5], 2), ([1, 2, 1], 4),
+         (list(range(1, 11)) + [1], 12)],
+        ids=["zero", "eleven", "negative", "repeated", "eleventh-row"],
+    )
+    def test_rank_outside_sheet_or_repeated_names_line(self, ranks, bad_line):
+        buf = io.StringIO("\t".join(SHEET_COLUMNS) + "\n" + "".join(
+            f"PersonX runs\txWant\t{rank}\tgo home\t5\t5\n" for rank in ranks))
+        with pytest.raises(EvalError, match=f"^line {bad_line}: rank "):
+            read_sheet(buf)
+
 
 class TestPrecisionAt10:
     def sheet(self, votes):

@@ -13,7 +13,6 @@ from ifthen.seq2seq.config import FIELD_MINIMUMS
 from ifthen.seq2seq.model import (
     ModelParams,
     TrainingInstance,
-    _Batch,
     _Decoder,
     _Encoder,
     _output,
@@ -362,13 +361,11 @@ class TestGroupedRecurrence:
         rng = np.random.default_rng(seed)
         states = rng.normal(size=(rows, 32))
         prev = rng.integers(0, len(params.vocab), size=rows)
-        batch = _Batch([[int(t)] for t in prev])
         prefix = f"decoder/{dim.value}"
-        rnn = _Recurrence(params, [prefix], [batch], [batch.pack([[int(t)] for t in prev])],
-                          [states[batch.order]])
+        rnn = _Recurrence(params, [prefix], [[[int(t)] for t in prev]], [states])
         probs, new_states = decode_step(params, dim, states, prev)
-        np.testing.assert_array_equal(new_states, batch.unsort(rnn.packed(0)))
-        np.testing.assert_array_equal(probs, batch.unsort(_output(params, prefix, rnn.packed(0))))
+        np.testing.assert_array_equal(new_states, rnn.final(0))
+        np.testing.assert_array_equal(probs, _output(params, prefix, rnn.final(0)))
 
 
 class TestEncodingMemo:
