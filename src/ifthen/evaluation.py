@@ -250,7 +250,7 @@ def write_sheet(sheet: JudgmentSheet, stream: IO[str]) -> None:
 def read_sheet(stream: IO[str]) -> JudgmentSheet:
     """Parse a judgment sheet; a row's vote columns are both blank or both
     filled, with at least one judge and at most that many valid votes, and
-    each (event, dimension) has at most one row of each rank from 1 to
+    each (event, dimension) has exactly one row of each rank from 1 to
     ``ROWS_PER_PAIR``."""
     lines = iter(enumerate(stream, start=1))
     try:
@@ -298,6 +298,10 @@ def read_sheet(stream: IO[str]) -> JudgmentSheet:
                 judges_total=judges_total,
             )
         )
+    for (event, dimension), count in Counter((e, d) for e, d, _ in seen).items():
+        if count < ROWS_PER_PAIR:
+            raise EvalError(f"({event!r}, {dimension.value}) has {count} rows, "
+                            f"need {ROWS_PER_PAIR}")
     return JudgmentSheet(rows=tuple(rows))
 
 

@@ -12,16 +12,18 @@ finished hypotheses; of the rest, a partition finds the ``beam_width``-th
 best score and only the candidates scoring at least that are sorted by
 (-score, token ids), so the selection is exact, ties included.
 
-The search stops before the length cap once the pool holds ``beam_width``
-finished hypotheses and every alive score is strictly below the pool's
-worst. The stop is exact: a step adds ``log(max(p, 1e-300))`` with
-``p = e / s`` from the softmax, where ``s`` is a sum of non-negative terms
-that include ``e``, so every increment is at most 0 in floating point and
-no alive score, nor any hypothesis grown from it, can rise into the pool's
-top ``beam_width``. A tie with the pool's worst keeps the search running,
-because ties break on token ids. Under ``suppress_unk`` the renormalized
-increment ``log(p) - log(1 - p_unk)`` can be positive, so that search runs
-to the cap.
+Once the pool holds ``beam_width`` finished hypotheses, a step decodes
+only the alive rows scoring at least the pool's worst, and the search
+stops when none is left. The prune is exact: a step adds
+``log(max(p, 1e-300))`` with ``p = e / s`` from the softmax, where ``s``
+is a sum of non-negative terms that include ``e``, so every increment is
+at most 0 in floating point and nothing grown from a dropped row can enter
+the pool's top ``beam_width`` or displace a kept candidate. Ties with the
+pool's worst are kept, because ties break on token ids. Fewer rows can
+round the output product differently (BLAS picks kernels by row count),
+so scores may differ from the unpruned search's in their last bits. Under
+``suppress_unk`` the renormalized increment ``log(p) - log(1 - p_unk)``
+can be positive, so that search is not pruned and runs to the cap.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from ifthen.graph import AtlasGraph, EventIndex, normalize_node_text, query_inferences
+from ifthen.graph import AtlasGraph, EventIndex, normalize_node_text
 from ifthen.seq2seq.model import ModelParams, decode_step, initial_decoder_state
 from ifthen.taxonomy import Dimension
 
@@ -72,10 +74,10 @@ def beam_search(
     With ``suppress_unk`` the ``<unk>`` token is never emitted and the
     remaining probability mass is renormalized.
 
-    Without ``suppress_unk`` the search ends before ``max_len`` steps once
-    ``beam_width`` hypotheses have finished and every alive score is
-    strictly below the worst of them; increments are never positive, so
-    the result equals the search run to the cap.
+    Without ``suppress_unk``, once ``beam_width`` hypotheses have finished,
+    only the alive rows scoring at least the worst of them are decoded, and
+    the search ends when none is left; increments are never positive, so
+    the result equals the unpruned search run to the cap.
     """
     if beam_width < 1:
         raise ValueError("beam_width must be >= 1")
@@ -98,10 +100,14 @@ def beam_search(
     pool: dict[tuple[int, ...], float] = {}
 
     for _ in range(max_len):
-        # Scores never rise (see the module docstring), so the pool is final.
-        if (not suppress_unk and len(pool) == beam_width
-                and scores.max() < min(pool.values())):
-            break
+        # Scores never rise (see the module docstring), so a row below the
+        # full pool's worst cannot reach the result.
+        if not suppress_unk and len(pool) == beam_width:
+            keep = np.flatnonzero(scores >= min(pool.values()))
+            if keep.size == 0:
+                break
+            alive = [alive[i] for i in keep.tolist()]
+            scores, states, last = scores[keep], states[keep], last[keep]
         probs, states = decode_step(params, dimension, states, last)
         cand = np.log(np.maximum(probs, 1e-300))
         if suppress_unk:
@@ -157,9 +163,9 @@ def nearest_neighbor_predict(
     lists every event in lexicographic order with score 0.0, so every
     score is finite.
 
-    The graph's cached :attr:`AtlasGraph.event_index` supplies the events
-    and their token ids; ``embeddings`` is read afresh on every call, so
-    it may change between calls.
+    The graph's cached :attr:`AtlasGraph.event_index` supplies the events,
+    their token ids and the target token tuples that the entries share;
+    ``embeddings`` is read afresh on every call, so it may change.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -187,11 +193,7 @@ def nearest_neighbor_predict(
     for i in order:
         if scores[i] == -math.inf:
             break  # this event and all after it cannot be compared
-        ev = index.events[i]
-        for target in sorted(
-            query_inferences(train_graph, ev, dimension), key=lambda t: t.text
-        ):
-            tokens = tuple(normalize_node_text(target.text).split())
+        for tokens in index.targets[i]:
             if tokens in seen:
                 continue
             seen.add(tokens)

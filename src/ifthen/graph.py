@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache, cached_property
 from statistics import fmean
+from sys import intern
 
 import numpy as np
 
@@ -128,14 +129,19 @@ class EventIndex:
     ``events`` are normalized texts in lexicographic order; row ``i`` of
     ``token_ids`` holds the positions in ``tokens`` (the distinct tokens)
     of event ``i``'s tokens, right-padded with ``len(tokens)``.
+    ``targets[i]`` holds event ``i``'s non-empty targets as normalized
+    token tuples, in raw-text order; ``build`` takes ``(event, targets)``
+    pairs in event text order.
     """
 
     events: tuple[str, ...]
     tokens: tuple[str, ...]
     token_ids: np.ndarray
+    targets: tuple[tuple[tuple[str, ...], ...], ...]
 
     @classmethod
-    def build(cls, events: list[str]) -> "EventIndex":
+    def build(cls, items: list[tuple[str, tuple[tuple[str, ...], ...]]]) -> "EventIndex":
+        events, targets = zip(*items)
         positions: dict[str, int] = {}
         rows = [[positions.setdefault(t, len(positions)) for t in ev.split()]
                 for ev in events]
@@ -143,7 +149,7 @@ class EventIndex:
         for i, row in enumerate(rows):
             token_ids[i, : len(row)] = row
         token_ids.flags.writeable = False
-        return cls(events=tuple(events), tokens=tuple(positions), token_ids=token_ids)
+        return cls(events=events, tokens=tuple(positions), token_ids=token_ids, targets=targets)
 
 
 @dataclass(frozen=True)
@@ -164,14 +170,17 @@ class AtlasGraph:
     def event_index(self) -> dict[Dimension, EventIndex]:
         """Per-dimension retrieval index, built on first use.
 
-        Dimensions whose events all have empty targets are absent. Safe to
-        cache because the graph is immutable.
+        Dimensions with no non-empty target are absent; equal targets share
+        one tuple of interned tokens. Cached, as the graph is immutable.
         """
-        events: dict[Dimension, list[str]] = {}
+        tokens_of = cache(lambda text: tuple(map(intern, text.split())))
+        items: dict[Dimension, list] = {}
         for (ev, dim), edges in self.adjacency.items():
-            if any(not e.target.is_empty for e in edges):
-                events.setdefault(dim, []).append(ev)
-        return {dim: EventIndex.build(sorted(evs)) for dim, evs in events.items()}
+            texts = sorted(e.target.text for e in edges if not e.target.is_empty)
+            if texts:
+                items.setdefault(dim, []).append(
+                    (ev, tuple(tokens_of(normalize_node_text(t)) for t in texts)))
+        return {dim: EventIndex.build(sorted(evs)) for dim, evs in items.items()}
 
 
 @dataclass(frozen=True)

@@ -343,6 +343,18 @@ class TestEvalCommands:
             "data error: line 12: rank 1 of 'PersonX runs home' xWant repeats line 2"]
         assert not out.exists()
 
+    def test_precision_missing_ranks_exit_2(self, tmp_path, capsys):
+        sheet = tmp_path / "sheet.tsv"
+        sheet.write_text(
+            "event\tdimension\trank\tgeneration\tvotes_valid\tjudges_total\n"
+            "PersonX runs home\txWant\t1\tgen 0\t5\t5\n"
+            "PersonX runs home\txWant\t2\tgen 1\t0\t5\n")
+        out = tmp_path / "p.json"
+        assert run(["precision", "--sheet", str(sheet), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "data error: ('PersonX runs home', xWant) has 2 rows, need 10"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sheet.tsv"]
+
     def test_precision_non_integer_votes_exit_2(self, tmp_path, capsys):
         out = tmp_path / "p.json"
         assert run(["precision", "--sheet", self.make_sheet(tmp_path, "five\t5"),

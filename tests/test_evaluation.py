@@ -340,6 +340,13 @@ class TestHumanEvalSheet:
         with pytest.raises(EvalError, match=f"^line {bad_line}: rank "):
             read_sheet(buf)
 
+    def test_pair_with_missing_ranks_rejected(self):
+        buf = io.StringIO("\t".join(SHEET_COLUMNS) + "\n" + "".join(
+            f"PersonX runs\txWant\t{rank}\tgo home\t5\t5\n" for rank in range(1, 11))
+            + "PersonX naps\txWant\t1\tsleep\t5\t5\nPersonX naps\txWant\t2\trest\t0\t5\n")
+        with pytest.raises(EvalError, match=r"^\('PersonX naps', xWant\) has 2 rows, need 10$"):
+            read_sheet(buf)
+
 
 class TestPrecisionAt10:
     def sheet(self, votes):

@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_triple, toy_params
@@ -216,6 +216,46 @@ class TestEarlyStop:
         expected = reference_entries(params, dim, params.vocab.encode(event), width, 6)
         assert list(result.entries) == expected
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 10_000),
+        variant=st.sampled_from(list(ModelVariant)),
+        vocab_size=st.integers(10, 30),
+        width=st.integers(1, 12),
+        max_len=st.integers(1, 6),
+        eos_bias=st.floats(1.0, 3.0),
+        must_prune=st.just(False),
+    )
+    @example(seed=4, variant=ModelVariant.Single9, vocab_size=12, width=10, max_len=6,
+             eos_bias=2.0, must_prune=True)
+    @example(seed=2, variant=ModelVariant.EventPrePost, vocab_size=12, width=12, max_len=6,
+             eos_bias=2.0, must_prune=True)
+    def test_pruned_rows_match_reference(self, seed, variant, vocab_size, width, max_len,
+                                         eos_bias, must_prune):
+        params = toy_params(variant=variant, vocab_size=vocab_size, hidden=8, seed=seed)
+        dim = params.decoder_dims[seed % len(params.decoder_dims)]
+        # Spread-out output biases and a likely <eos> fill the pool early
+        # while the alive scores still differ.
+        b_o = params.arrays[f"decoder/{dim.value}/b_o"]
+        b_o += np.random.default_rng(seed).normal(0.0, 1.0, b_o.shape)
+        b_o[params.vocab.eos_id] += eos_bias
+        event = ["w0", "w1"]
+        rows = []
+
+        def counted(params, dimension, states, last):
+            rows.append(len(states))
+            return decode_step(params, dimension, states, last)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("ifthen.generation.decode_step", counted)
+            result = beam_search(params, event, dim, beam_width=width, max_len=max_len)
+        assert_entries_match(
+            result, reference_entries(params, dim, params.vocab.encode(event), width, max_len))
+        # Unpruned, a step decodes every finite non-<eos> candidate of the
+        # step before, up to the width.
+        unpruned = [min(width, n * (vocab_size - 1)) for n in rows[:-1]]
+        assert not must_prune or any(n < m for n, m in zip(rows[1:], unpruned))
+
     def test_suppress_unk_runs_to_cap(self):
         params = toy_params(vocab_size=10, hidden=8, seed=23)
         dim = params.decoder_dims[0]
@@ -367,6 +407,16 @@ class TestNearestNeighbor:
             self.graph(), self.embeddings(), "PersonX walks", Dimension.xWant, k=2
         )
         assert len(result.entries) == 2
+
+    def test_entries_share_the_index_tuples(self):
+        graph, embeddings = self.graph(), self.embeddings()
+        shared = {id(t) for ts in graph.event_index[Dimension.xWant].targets for t in ts}
+        first, second = (
+            nearest_neighbor_predict(graph, embeddings, query, Dimension.xWant, k=3)
+            for query in ("PersonX walks", "PersonX sleeps"))
+        assert sorted(texts(first)) == sorted(texts(second))
+        for result in (first, second):
+            assert {id(tokens) for tokens, _ in result.entries} == shared
 
     def test_unseen_dimension_empty(self):
         result = nearest_neighbor_predict(

@@ -302,6 +302,23 @@ class TestEventIndex:
         assert build_graph([]).event_index == {}
 
 
+def test_event_index_targets_in_text_order_one_tuple_per_text():
+    graph = build_graph([
+        make_triple("PersonX runs", "xWant", "to rest"),
+        make_triple("PersonX runs", "xWant", "Zzz now"),
+        make_triple("PersonX runs", "xWant", "none"),
+        make_triple("PersonX runs", "xIntent", "to  REST"),
+        make_triple("PersonX walks", "xWant", "to rest"),
+        make_triple("PersonX naps", "xWant", "none"),
+    ])
+    want, intent = graph.event_index[Dimension.xWant], graph.event_index[Dimension.xIntent]
+    assert want.events == ("personx runs", "personx walks")
+    # Raw texts order uppercase first; the tuples hold normalized tokens.
+    assert want.targets == ((("zzz", "now"), ("to", "rest")), (("to", "rest"),))
+    assert intent.targets == ((("to", "rest"),),)
+    assert want.targets[0][1] is want.targets[1][0] is intent.targets[0][0]
+
+
 class TestStats:
     def test_empty(self):
         r = graph_stats(build_graph([]))
