@@ -2,11 +2,15 @@
 
 Two equivalent encodings: a five-column UTF-8 TSV
 (``event<TAB>dimension<TAB>target<TAB>split<TAB>worker_id``) and a
-JSON-lines file with the same five keys. ``#``-prefixed lines are
-comments; ``none`` is the empty-annotation sentinel. Writers emit
-canonical order (event text, dimension name, target text, worker id)
-so write-then-parse is byte-identical on well-formed input.
-:func:`atomic_write` is how the package writes its output files.
+JSON-lines file with the same five keys. ``none`` is the
+empty-annotation sentinel. Writers emit canonical order (event text,
+dimension name, target text, worker id) so write-then-parse is
+byte-identical on well-formed input.
+
+Every line file the package reads goes through :func:`data_lines` and
+:func:`line_message`, and every tab-separated one through
+:func:`tab_fields` and :func:`tab_line`. :func:`atomic_write` is how the
+package writes its output files.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import contextlib
 import functools
 import json
 import os
-from typing import IO, Callable, Iterable
+from typing import IO, Iterable, Iterator
 
 from ifthen.graph import EventPhrase, InferenceTarget, Split, Triple
 from ifthen.taxonomy import Dimension
@@ -41,39 +45,77 @@ def atomic_write(path: str, mode: str = "w"):
         raise
 
 
+def data_lines(stream: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """``(line_no, text)`` for each line that is neither blank (empty or
+    whitespace only) nor a ``#`` comment, numbered from 1 over all lines,
+    with its newline removed."""
+    for line_no, line in enumerate(stream, start=1):
+        text = line.rstrip("\n")
+        if text and not text.isspace() and text[0] != "#":
+            yield line_no, text
+
+
+def line_message(line_no: int, error: ValueError | str) -> str:
+    """How a reader names the line an error was found on."""
+    return f"line {line_no}: {error}"
+
+
+def tab_fields(text: str, count: int) -> list[str]:
+    """The tab-separated fields of a data line; raises ``ValueError``
+    unless there are ``count`` of them."""
+    fields = text.split("\t")
+    if len(fields) != count:
+        raise ValueError(f"expected {count} column{'s' if count > 1 else ''}, got {len(fields)}")
+    return fields
+
+
+def tab_line(kind: str, fields: tuple[str, ...]) -> str:
+    """The line, newline included, that reads back as ``fields``. Raises
+    ``ValueError``, naming the ``kind`` of record and its fields, when a
+    field holds a tab, CR or LF, or the line would start with ``#``."""
+    line = "\t".join(fields)
+    if (line.startswith("#") or line.count("\t") != len(fields) - 1
+            or "\n" in line or "\r" in line):
+        raise ValueError(f"{kind} {fields} has no TSV line: a field holds a tab or "
+                         f"line break, or the line would start with '#'")
+    return line + "\n"
+
+
 class AtlasFormatError(ValueError):
     """Malformed triple file; carries the offending line number."""
 
     def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+        super().__init__(line_message(line_no, message))
         self.line_no = line_no
 
 
 _DIMENSIONS = {d.value: d for d in Dimension}
 _SPLITS = {s.value: s for s in Split}
+# Enum.value runs Python code on each read; the writer reads names from here.
+_NAMES = {member: name for name, member in (*_DIMENSIONS.items(), *_SPLITS.items())}
 
 
-def _parse(stream: IO[str], fields_of: Callable[[int, str], list[str]]) -> list[Triple]:
-    """Triples in file order; ``fields_of(line_no, line)`` gives each
-    non-blank, non-comment line's fields in ``TSV_COLUMNS`` order.
+def _parse(stream: IO[str], jsonl: bool) -> list[Triple]:
+    """Triples in file order, from TSV or JSON lines.
 
     Triples with equal event (or target) text share one phrase object,
     built once per parse.
     """
     event_of = functools.cache(EventPhrase.from_text)
     target_of = functools.cache(InferenceTarget.from_text)
+    dimension_of, split_of = _DIMENSIONS.get, _SPLITS.get
+    columns = len(TSV_COLUMNS)
     triples = []
-    for line_no, line in enumerate(stream, start=1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        event_text, dim_name, target_text, split_label, worker_id = fields_of(line_no, line)
-        dimension = _DIMENSIONS.get(dim_name)
-        if dimension is None:
-            raise AtlasFormatError(line_no, f"unknown dimension name {dim_name!r}")
-        split = _SPLITS.get(split_label)
-        if split is None:
-            raise AtlasFormatError(line_no, f"unknown split label {split_label!r}")
+    for line_no, text in data_lines(stream):
         try:
+            event_text, dim_name, target_text, split_label, worker_id = (
+                _jsonl_fields(text) if jsonl else tab_fields(text, columns))
+            dimension = dimension_of(dim_name)
+            if dimension is None:
+                raise ValueError(f"unknown dimension name {dim_name!r}")
+            split = split_of(split_label)
+            if split is None:
+                raise ValueError(f"unknown split label {split_label!r}")
             event, target = event_of(event_text), target_of(target_text)
         except ValueError as exc:
             raise AtlasFormatError(line_no, str(exc)) from None
@@ -81,45 +123,35 @@ def _parse(stream: IO[str], fields_of: Callable[[int, str], list[str]]) -> list[
     return triples
 
 
-def _tsv_fields(line_no: int, line: str) -> list[str]:
-    cols = line.rstrip("\n").split("\t")
-    if len(cols) != len(TSV_COLUMNS):
-        raise AtlasFormatError(
-            line_no, f"expected {len(TSV_COLUMNS)} columns, got {len(cols)}"
-        )
-    return cols
-
-
-def _jsonl_fields(line_no: int, line: str) -> list[str]:
+def _jsonl_fields(text: str) -> list[str]:
     try:
-        record = json.loads(line)
+        record = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise AtlasFormatError(line_no, f"invalid JSON: {exc}") from None
+        raise ValueError(f"invalid JSON: {exc}") from None
     if not isinstance(record, dict):
-        raise AtlasFormatError(line_no, f"expected a JSON object, got {json.dumps(record)}")
+        raise ValueError(f"expected a JSON object, got {json.dumps(record)}")
     missing = [k for k in TSV_COLUMNS if k not in record]
     if missing:
-        raise AtlasFormatError(line_no, f"missing keys {missing}")
+        raise ValueError(f"missing keys {missing}")
     extra = [k for k in record if k not in TSV_COLUMNS]
     if extra:
-        raise AtlasFormatError(line_no, f"unknown keys {extra}")
+        raise ValueError(f"unknown keys {extra}")
     for k in TSV_COLUMNS:
         if not isinstance(record[k], str):
-            raise AtlasFormatError(
-                line_no, f"expected a string for {k!r}, got {json.dumps(record[k])}")
+            raise ValueError(f"expected a string for {k!r}, got {json.dumps(record[k])}")
     return [record[k] for k in TSV_COLUMNS]
 
 
 def parse_atlas_tsv(stream: IO[str]) -> list[Triple]:
     """Triples in file order; triples with equal event (or target) text
     share one phrase object."""
-    return _parse(stream, _tsv_fields)
+    return _parse(stream, jsonl=False)
 
 
 def parse_atlas_jsonl(stream: IO[str]) -> list[Triple]:
     """Like :func:`parse_atlas_tsv`, for JSON lines whose five fields are
     all strings."""
-    return _parse(stream, _jsonl_fields)
+    return _parse(stream, jsonl=True)
 
 
 def _canonical(triples: Iterable[Triple]) -> list[Triple]:
@@ -131,16 +163,10 @@ def _canonical(triples: Iterable[Triple]) -> list[Triple]:
 
 def write_atlas_tsv(triples: Iterable[Triple], stream: IO[str]) -> None:
     """Raises ``ValueError``, naming the triple, on one that would not read
-    back as written: a field holding a tab, CR or LF, or a line that would
-    start with ``#`` and so read as a comment."""
-    tabs = len(TSV_COLUMNS) - 1
+    back as written (see :func:`tab_line`)."""
     for t in _canonical(triples):
-        fields = (t.event.text, t.dimension.value, t.target.text, t.split.value, t.worker_id)
-        line = "\t".join(fields)
-        if line.startswith("#") or line.count("\t") != tabs or "\n" in line or "\r" in line:
-            raise ValueError(f"triple {fields} has no TSV line: a field holds a tab or "
-                             f"line break, or the line would start with '#'")
-        stream.write(line + "\n")
+        stream.write(tab_line("triple", (t.event.text, _NAMES[t.dimension], t.target.text,
+                                         _NAMES[t.split], t.worker_id)))
 
 
 def write_atlas_jsonl(triples: Iterable[Triple], stream: IO[str]) -> None:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import IO, Iterable
 
+from ifthen.atlas_io import data_lines, line_message, tab_fields, tab_line
 from ifthen.generation import GenerationList
 from ifthen.graph import AtlasGraph, InferenceTarget, normalize_node_text, query_inferences
 from ifthen.taxonomy import Dimension
@@ -230,74 +231,51 @@ def export_human_eval_sheet(
 
 
 def write_sheet(sheet: JudgmentSheet, stream: IO[str]) -> None:
-    stream.write("\t".join(SHEET_COLUMNS) + "\n")
+    """Raises ``ValueError`` on a row :func:`~ifthen.atlas_io.tab_line` refuses."""
+    stream.write(tab_line("sheet header", SHEET_COLUMNS))
     for r in sheet.rows:
-        stream.write(
-            "\t".join(
-                (
-                    r.event,
-                    r.dimension.value,
-                    str(r.rank),
-                    r.generation,
-                    "" if r.votes_valid is None else str(r.votes_valid),
-                    "" if r.judges_total is None else str(r.judges_total),
-                )
-            )
-            + "\n"
-        )
+        stream.write(tab_line("sheet row", (
+            r.event,
+            r.dimension.value,
+            str(r.rank),
+            r.generation,
+            "" if r.votes_valid is None else str(r.votes_valid),
+            "" if r.judges_total is None else str(r.judges_total),
+        )))
 
 
 def read_sheet(stream: IO[str]) -> JudgmentSheet:
-    """Parse a judgment sheet; a row's vote columns are both blank or both
-    filled, with at least one judge and at most that many valid votes, and
-    each (event, dimension) has exactly one row of each rank from 1 to
-    ``ROWS_PER_PAIR``."""
-    lines = iter(enumerate(stream, start=1))
-    try:
-        _, header = next(lines)
-    except StopIteration:
-        raise EvalError("empty judgment sheet") from None
-    if header.rstrip("\n").split("\t") != list(SHEET_COLUMNS):
+    """Parse a judgment sheet; its first data line is the header. A row's
+    vote columns are both blank or both filled, with at least one judge
+    and at most that many valid votes, and each (event, dimension) has
+    exactly one row of each rank from 1 to ``ROWS_PER_PAIR``."""
+    lines = data_lines(stream)
+    _, header = next(lines, (None, None))
+    if header is None:
+        raise EvalError("empty judgment sheet")
+    if header != "\t".join(SHEET_COLUMNS):
         raise EvalError(f"bad sheet header, expected {SHEET_COLUMNS}")
     rows, seen = [], {}
-    for line_no, line in lines:
-        line = line.rstrip("\n")
-        if not line.strip():
-            continue
-        cols = line.split("\t")
-        if len(cols) != len(SHEET_COLUMNS):
-            raise EvalError(f"line {line_no}: expected {len(SHEET_COLUMNS)} columns")
-        event, dim, rank, generation, votes, judges = cols
-        if bool(votes) != bool(judges):
-            raise EvalError(f"line {line_no}: fill both vote columns or neither")
+    for line_no, text in lines:
         try:
+            event, dim, rank, generation, votes, judges = tab_fields(text, len(SHEET_COLUMNS))
+            if bool(votes) != bool(judges):
+                raise ValueError("fill both vote columns or neither")
             votes_valid = int(votes) if votes else None
             judges_total = int(judges) if judges else None
             rank, dimension = int(rank), Dimension(dim)
+            if not 1 <= rank <= ROWS_PER_PAIR:
+                raise ValueError(f"rank {rank} is outside 1..{ROWS_PER_PAIR}")
+            first = seen.setdefault((event, dimension, rank), line_no)
+            if first != line_no:
+                raise ValueError(f"rank {rank} of {event!r} {dim} repeats line {first}")
+            if judges_total is not None and not (
+                judges_total >= 1 and 0 <= votes_valid <= judges_total
+            ):
+                raise ValueError(f"{votes_valid} of {judges_total} judges voted valid")
         except ValueError as exc:
-            raise EvalError(f"line {line_no}: {exc}") from None
-        if not 1 <= rank <= ROWS_PER_PAIR:
-            raise EvalError(f"line {line_no}: rank {rank} is outside 1..{ROWS_PER_PAIR}")
-        first = seen.setdefault((event, dimension, rank), line_no)
-        if first != line_no:
-            raise EvalError(f"line {line_no}: rank {rank} of {event!r} {dim} "
-                            f"repeats line {first}")
-        if judges_total is not None and not (
-            judges_total >= 1 and 0 <= votes_valid <= judges_total
-        ):
-            raise EvalError(
-                f"line {line_no}: {votes_valid} of {judges_total} judges voted valid"
-            )
-        rows.append(
-            SheetRow(
-                event=event,
-                dimension=dimension,
-                rank=rank,
-                generation=generation,
-                votes_valid=votes_valid,
-                judges_total=judges_total,
-            )
-        )
+            raise EvalError(line_message(line_no, exc)) from None
+        rows.append(SheetRow(event, dimension, rank, generation, votes_valid, judges_total))
     for (event, dimension), count in Counter((e, d) for e, d, _ in seen).items():
         if count < ROWS_PER_PAIR:
             raise EvalError(f"({event!r}, {dimension.value}) has {count} rows, "

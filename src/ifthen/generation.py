@@ -36,6 +36,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
+from ifthen.atlas_io import data_lines, line_message
 from ifthen.graph import AtlasGraph, EventIndex, normalize_node_text
 from ifthen.seq2seq.model import ModelParams, decode_step, initial_decoder_state
 from ifthen.taxonomy import Dimension
@@ -300,12 +301,10 @@ def read_generations(stream: IO[str]) -> list[GenerationList]:
     """
     out = []
     tokens_of = functools.cache(lambda text: tuple(text.split()))
-    for line_no, line in enumerate(stream, start=1):
-        if not line.strip():
-            continue
+    for line_no, text in data_lines(stream):
         try:
             record = _typed(
-                json.loads(line, parse_constant=_reject_constant,
+                json.loads(text, parse_constant=_reject_constant,
                            parse_float=_finite_float),
                 dict, "an object")
             entries = []
@@ -321,5 +320,5 @@ def read_generations(stream: IO[str]) -> list[GenerationList]:
                 )
             )
         except (json.JSONDecodeError, KeyError, ValueError) as exc:
-            raise ValueError(f"generation dump line {line_no}: {exc}") from None
+            raise ValueError(f"generation dump {line_message(line_no, exc)}") from None
     return out

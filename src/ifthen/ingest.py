@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from types import MappingProxyType
-from typing import IO
+from typing import IO, Iterator
 
+from ifthen.atlas_io import data_lines, line_message, tab_fields
 from ifthen.graph import (
     BLANK_TOKEN,
     PERSON_VARIABLES,
@@ -95,40 +96,48 @@ class SplitAssignment:
 
 
 def load_stopwords(stream: IO[str]) -> set[str]:
-    return {line.strip() for line in stream if line.strip()}
+    return set(_one_field_lines(stream))
 
 
 def default_stopwords() -> set[str]:
     """The shipped ~40-word list of articles, prepositions and auxiliaries."""
-    text = resources.files("ifthen.data").joinpath("stopwords.txt").read_text("utf-8")
-    return {line.strip() for line in text.splitlines() if line.strip()}
+    with resources.files("ifthen.data").joinpath("stopwords.txt").open(encoding="utf-8") as fh:
+        return load_stopwords(fh)
 
 
 def load_name_lexicon(stream: IO[str]) -> set[str]:
-    return {line.strip().lower() for line in stream if line.strip()}
+    return {name.lower() for name in _one_field_lines(stream)}
+
+
+def _one_field_lines(stream: IO[str]) -> Iterator[str]:
+    for line_no, text in data_lines(stream):
+        try:
+            yield tab_fields(text.strip(), 1)[0]
+        except ValueError as exc:
+            raise IngestError(line_message(line_no, exc)) from None
 
 
 def load_frequency_table(stream: IO[str]) -> FrequencyTable:
     """TSV ``verb<TAB>args<TAB>count<TAB>source``; all rows share one source."""
     counts: dict[tuple[str, str], int] = {}
     source: FrequencySource | None = None
-    for line_no, line in enumerate(stream, start=1):
-        line = line.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
-            continue
-        cols = line.split("\t")
-        if len(cols) != 4:
-            raise IngestError(f"line {line_no}: expected 4 columns, got {len(cols)}")
-        verb, args, count, src = cols
+    for line_no, text in data_lines(stream):
         try:
-            counts[(verb, args)] = counts.get((verb, args), 0) + int(count)
-        except ValueError:
-            raise IngestError(f"line {line_no}: bad count {count!r}") from None
-        row_source = FrequencySource(src)
-        if source is None:
-            source = row_source
-        elif source is not row_source:
-            raise IngestError(f"line {line_no}: mixed sources {source} and {row_source}")
+            verb, args, count, src = tab_fields(text, 4)
+            try:
+                n = int(count)
+            except ValueError:
+                n = 0
+            if n < 1:
+                raise ValueError(f"count must be an integer >= 1, got {count!r}")
+            counts[(verb, args)] = counts.get((verb, args), 0) + n
+            row_source = FrequencySource(src)
+            if source is None:
+                source = row_source
+            elif source is not row_source:
+                raise ValueError(f"mixed sources {source.value} and {row_source.value}")
+        except ValueError as exc:
+            raise IngestError(line_message(line_no, exc)) from None
     if source is None:
         raise IngestError("empty frequency table")
     return FrequencyTable(counts=counts, source=source)

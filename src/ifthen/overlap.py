@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import IO
 
+from ifthen.atlas_io import data_lines, line_message, tab_fields
 from ifthen.graph import AtlasGraph, person_variable_of
 from ifthen.taxonomy import Dimension
 
@@ -42,6 +43,7 @@ class DimensionGroup(str, Enum):
     Attributes = "Attributes"
 
 
+# The fixed group -> (dimensions, external relations) table.
 _GROUP_TABLE: dict[DimensionGroup, tuple[frozenset[Dimension], frozenset[str]]] = {
     DimensionGroup.Wants: (
         frozenset({Dimension.xWant, Dimension.oWant}),
@@ -70,11 +72,6 @@ _GROUP_TABLE: dict[DimensionGroup, tuple[frozenset[Dimension], frozenset[str]]] 
 }
 
 
-def dimension_relation_map() -> dict[DimensionGroup, tuple[frozenset[Dimension], frozenset[str]]]:
-    """The fixed group -> (dimensions, external relations) table."""
-    return dict(_GROUP_TABLE)
-
-
 def normalize_concept(text: str) -> str:
     """Default concept normalization for matching.
 
@@ -93,18 +90,12 @@ def normalize_concept(text: str) -> str:
 def load_edge_file(stream: IO[str]) -> set[ExternalEdge]:
     """TSV ``relation<TAB>start<TAB>end``; concepts are normalized on load."""
     edges = set()
-    for line_no, line in enumerate(stream, start=1):
-        line = line.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
-            continue
-        cols = line.split("\t")
-        if len(cols) != 3:
-            raise OverlapError(f"line {line_no}: expected 3 columns, got {len(cols)}")
-        relation, start, end = cols
+    for line_no, text in data_lines(stream):
         try:
+            relation, start, end = tab_fields(text, 3)
             edges.add(ExternalEdge(relation, normalize_concept(start), normalize_concept(end)))
-        except OverlapError as exc:
-            raise OverlapError(f"line {line_no}: {exc}") from None
+        except ValueError as exc:
+            raise OverlapError(line_message(line_no, exc)) from None
     return edges
 
 

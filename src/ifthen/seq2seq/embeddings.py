@@ -6,6 +6,8 @@ from typing import IO
 
 import numpy as np
 
+from ifthen.atlas_io import data_lines, line_message, tab_fields
+
 
 class EmbeddingFormatError(ValueError):
     pass
@@ -14,28 +16,22 @@ class EmbeddingFormatError(ValueError):
 def load_embedding_file(stream: IO[str]) -> dict[str, np.ndarray]:
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
-    for line_no, line in enumerate(stream, start=1):
-        line = line.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise EmbeddingFormatError(f"line {line_no}: expected token<TAB>floats")
-        token, values = parts
+    for line_no, text in data_lines(stream):
         try:
-            vec = np.array([float(v) for v in values.split()], dtype=float)
-        except ValueError:
-            raise EmbeddingFormatError(f"line {line_no}: non-numeric value") from None
-        if not vec.size:
-            raise EmbeddingFormatError(f"line {line_no}: no values")
-        if not np.isfinite(vec).all():
-            raise EmbeddingFormatError(f"line {line_no}: non-finite value")
-        if dim is None:
-            dim = vec.size
-        elif vec.size != dim:
-            raise EmbeddingFormatError(
-                f"line {line_no}: dimension {vec.size} != {dim}"
-            )
+            token, values = tab_fields(text, 2)
+            try:
+                vec = np.array([float(v) for v in values.split()], dtype=float)
+            except ValueError:
+                raise ValueError("non-numeric value") from None
+            if not vec.size:
+                raise ValueError("no values")
+            if not np.isfinite(vec).all():
+                raise ValueError("non-finite value")
+            if dim is None:
+                dim = vec.size
+            elif vec.size != dim:
+                raise ValueError(f"dimension {vec.size} != {dim}")
+        except ValueError as exc:
+            raise EmbeddingFormatError(line_message(line_no, exc)) from None
         vectors[token] = vec
     return vectors
-

@@ -31,9 +31,9 @@ from ifthen.generation import beam_search
 from ifthen.graph import AtlasGraph, EventPhrase, InferenceTarget, build_graph, graph_stats
 from ifthen.ingest import content_key, default_stopwords, split_events
 from ifthen.overlap import (
+    _GROUP_TABLE,
     DimensionGroup,
     ExternalEdge,
-    dimension_relation_map,
     normalize_concept,
     triple_overlap,
 )
@@ -306,7 +306,7 @@ def test_stats_and_overlap_oracles():
     for ct, n in expected["nodes_by_content_type"].items():
         assert report.nodes_by_content_type[ct] == n
 
-    relations = sorted({r for _, rels in dimension_relation_map().values() for r in rels})
+    relations = sorted({r for _, rels in _GROUP_TABLE.values() for r in rels})
     edges = {
         ExternalEdge(rng.choice(relations),
                      normalize_concept(f"{rng.choice(verbs)} {rng.choice(objs)}"),
@@ -314,7 +314,7 @@ def test_stats_and_overlap_oracles():
         for _ in range(2000)
     }
     result = triple_overlap(graph, edges)
-    for group, (dims, rels) in dimension_relation_map().items():
+    for group, (dims, rels) in _GROUP_TABLE.items():
         assert abs(result[group] - overlap_oracle(graph, edges, normalize_concept, dims, rels)) < 1e-9
     ok("stats and overlap equal naive-scan oracles on 5000-triple fixture")
 

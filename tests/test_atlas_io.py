@@ -16,7 +16,12 @@ from ifthen.atlas_io import (
     write_atlas_jsonl,
     write_atlas_tsv,
 )
+from ifthen.evaluation import SHEET_COLUMNS, EvalError, read_sheet
+from ifthen.generation import GenerationList, read_generations, write_generations
 from ifthen.graph import InferenceTarget, Split, Triple, build_graph
+from ifthen.ingest import IngestError, load_frequency_table, load_name_lexicon, load_stopwords
+from ifthen.overlap import OverlapError, load_edge_file
+from ifthen.seq2seq.embeddings import EmbeddingFormatError, load_embedding_file
 from ifthen.taxonomy import Dimension
 
 
@@ -236,3 +241,60 @@ def test_error_after_repeated_valid_lines_names_its_line(fmt, bad, message):
         _parse([_VALID, _VALID, _VALID, bad_row, _VALID], fmt)
     assert exc.value.line_no == 4
     assert str(exc.value) == f"line 4: {message}"
+
+
+def _dump(**drop):
+    buf = io.StringIO()
+    write_generations([GenerationList("PersonX naps", Dimension.xWant, 2,
+                                      ((("to", "rest"), -0.5),))], buf)
+    record = json.loads(buf.getvalue())
+    return json.dumps({k: v for k, v in record.items() if k not in drop}) + "\n"
+
+
+_SHEET = "\t".join(SHEET_COLUMNS) + "\n" + "".join(
+    f"PersonX naps\txWant\t{rank}\tto rest\t3\t5\n" for rank in range(1, 11))
+
+# Every line reader: its valid data lines, a line with one field too many or
+# too few (for JSON lines, a missing key), and the error it raises.
+_READERS = {
+    "atlas-tsv": (parse_atlas_tsv, "\t".join(_VALID) + "\n", "\t".join(_VALID[:4]) + "\n",
+                  AtlasFormatError),
+    "atlas-jsonl": (parse_atlas_jsonl, _VALID_JSON + "\n",
+                    _VALID_JSON.replace(', "worker_id": "w1"', "") + "\n", AtlasFormatError),
+    "edges": (load_edge_file, "Causes\tsleep\trest\n", "Causes\tsleep\n", OverlapError),
+    "frequency-table": (load_frequency_table, "drinks\tcoffee\t2\tstories\n",
+                        "drinks\ttea\t2\n", IngestError),
+    "names": (load_name_lexicon, "alice\n", "alice\tbob\n", IngestError),
+    "stopwords": (load_stopwords, "the\n", "the\ta\n", IngestError),
+    "embeddings": (load_embedding_file, "walks\t1 0.5\n", "walks 1 0.5\n",
+                   EmbeddingFormatError),
+    "sheet": (read_sheet, _SHEET, "PersonX naps\txWant\t1\tto rest\t3\n", EvalError),
+    "generation-dump": (read_generations, _dump(), _dump(beam_width=True), ValueError),
+}
+_SKIPPED = "# a comment\n\n \t \n"
+
+
+def _comparable(result):
+    if isinstance(result, dict):  # token -> vector
+        return {token: vector.tolist() for token, vector in result.items()}
+    return result
+
+
+@pytest.mark.parametrize("name", list(_READERS))
+def test_every_reader_skips_comment_blank_and_whitespace_lines(name):
+    read, data, _, _ = _READERS[name]
+    noisy = "".join(_SKIPPED + line for line in data.splitlines(keepends=True)) + _SKIPPED
+    expected = _comparable(read(io.StringIO(data)))
+    assert expected
+    assert _comparable(read(io.StringIO(noisy))) == expected
+
+
+@pytest.mark.parametrize("name", list(_READERS))
+def test_every_reader_names_a_line_with_the_wrong_field_count(name):
+    read, data, bad, error = _READERS[name]
+    text = _SKIPPED + data + _SKIPPED + bad
+    bad_line = text.count("\n")
+    with pytest.raises(error) as exc:
+        read(io.StringIO(text))
+    prefix = "generation dump " if read is read_generations else ""
+    assert str(exc.value).startswith(f"{prefix}line {bad_line}: ")

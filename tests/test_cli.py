@@ -22,6 +22,7 @@ from ifthen.seq2seq.checkpoint import CheckpointError
 from ifthen.seq2seq.embeddings import EmbeddingFormatError
 from ifthen.seq2seq.gradcheck import MAX_RELATIVE_ERROR
 from ifthen.seq2seq.model import _param_shapes
+from ifthen.taxonomy import Dimension
 
 ATLAS = """\
 PersonX runs home\txWant\tto rest\ttrain\tw1
@@ -147,6 +148,15 @@ class TestDataCommands:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["raw.jsonl"]
         assert run(["ingest", "--in", str(src), "--out", str(tmp_path / "clean.jsonl")]) == 0
         assert len(atlas_io.parse_atlas_file(str(tmp_path / "clean.jsonl"))) == 2
+
+    def test_ingest_bad_frequency_source_names_its_line(self, atlas, tmp_path, capsys):
+        freq = tmp_path / "freq.tsv"
+        freq.write_text("runs\thome\t1\tstory\n")
+        assert run(["ingest", "--in", atlas, "--out", str(tmp_path / "clean.tsv"),
+                    "--freq-table", str(freq)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "data error: line 1: 'story' is not a valid FrequencySource"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["atlas.tsv", "freq.tsv"]
 
     @pytest.mark.parametrize("rows,flags,message", [
         ("Alice naps\txReact\tcalm\ttrain\tw1\nBob naps\txReact\ttired\ttest\tw2\n",
@@ -373,6 +383,23 @@ class TestEvalCommands:
         assert run(["export-human-eval", "--gen", str(gen),
                     "--out", str(tmp_path / "sheet.tsv")]) == 2
         assert "data error" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("event", ["PersonX\truns", "#metoo PersonX posts"],
+                             ids=["tab", "comment-line"])
+    def test_export_human_eval_refuses_a_row_with_no_sheet_line(self, tmp_path, capsys, event):
+        gen, sheet = tmp_path / "gen.jsonl", tmp_path / "sheet.tsv"
+        entries = tuple(((f"gen{r}",), -float(r)) for r in range(10))
+        with open(gen, "w", encoding="utf-8") as fh:
+            generation.write_generations(
+                [generation.GenerationList(event, dim, 10, entries)
+                 for dim in (Dimension.xIntent, Dimension.xWant)], fh)
+        assert run(["export-human-eval", "--gen", str(gen), "--sample-size", "1",
+                    "--out", str(sheet)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"data error: sheet row {(event, 'xIntent', '1', 'gen0', '', '')} has no TSV "
+            "line: a field holds a tab or line break, or the line would start with '#'"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["gen.jsonl"]
 
 
 class TestExitCodes:

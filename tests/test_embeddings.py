@@ -13,7 +13,7 @@ def test_loads_vectors_skipping_comments_and_blank_lines():
 
 
 @pytest.mark.parametrize("text,message", [
-    ("walks 1 2\n", "line 1: expected token<TAB>floats"),
+    ("walks 1 2\n", "line 1: expected 2 columns, got 1"),
     ("walks\t1 two\n", "line 1: non-numeric value"),
     ("walks\t1 2\nruns\t1 2 3\n", "line 2: dimension 3 != 2"),
     ("walks\t\n", "line 1: no values"),

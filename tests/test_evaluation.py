@@ -301,6 +301,16 @@ class TestHumanEvalSheet:
         buf.seek(0)
         assert read_sheet(buf) == voted
 
+    @pytest.mark.parametrize("event", ["PersonX\truns", "#metoo PersonX posts"],
+                             ids=["tab", "comment-line"])
+    def test_writer_refuses_a_row_that_reads_back_differently(self, event):
+        gens = [gen_list(event, Dimension.xWant, [f"gen {r}" for r in range(10)])]
+        sheet = export_human_eval_sheet(gens, sample_size=1)
+        with pytest.raises(ValueError) as refused:
+            write_sheet(sheet, io.StringIO())
+        assert str(refused.value).startswith(
+            f"sheet row {(event, 'xWant', '1', 'gen 0', '', '')} has no TSV line")
+
     @pytest.mark.parametrize(
         "votes,judges",
         [("3", ""), ("", "5"), ("7", "5"), ("-1", "5"), ("0", "0"), ("1", "-1")],

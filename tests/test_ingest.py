@@ -114,6 +114,19 @@ class TestBlanking:
         assert table.counts[("drinks", "dark roast")] == 2
         assert table.source is FrequencySource.Stories
 
+    @pytest.mark.parametrize("rows, message", [
+        ("drinks\tcoffee\t2\tstory\n", "line 1: 'story' is not a valid FrequencySource"),
+        ("drinks\tcoffee\t2\tstories\n# blogs from here\ndrinks\ttea\t9\tblogs\n",
+         "line 3: mixed sources stories and blogs"),
+        ("drinks\tcoffee\t10\tstories\ndrinks\tcoffee\t-5\tstories\n",
+         "line 2: count must be an integer >= 1, got '-5'"),
+        ("drinks\tcoffee\tmany\tstories\n", "line 1: count must be an integer >= 1, got 'many'"),
+    ], ids=["unknown-source", "mixed-sources", "negative-count", "non-integer-count"])
+    def test_bad_row_names_its_line(self, rows, message):
+        with pytest.raises(IngestError) as exc:
+            load_frequency_table(io.StringIO(rows))
+        assert str(exc.value) == message
+
     def test_whitespace_only_argument_ignored(self):
         # " " splits to no tokens; such a span would match everywhere.
         table = load_frequency_table(io.StringIO("drinks\t \t1\tstories\n"))

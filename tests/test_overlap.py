@@ -12,10 +12,10 @@ from oracles import overlap_oracle
 from ifthen.cli import run
 from ifthen.graph import build_graph
 from ifthen.overlap import (
+    _GROUP_TABLE,
     DimensionGroup,
     ExternalEdge,
     OverlapError,
-    dimension_relation_map,
     event_coverage,
     load_edge_file,
     normalize_concept,
@@ -29,26 +29,26 @@ EMPTIED_EDGE = "Causes\tsleep\trest\nCauses\tPersonX\tsleep\n"
 
 class TestGroupTable:
     def test_six_groups(self):
-        assert set(dimension_relation_map()) == set(DimensionGroup)
+        assert set(_GROUP_TABLE) == set(DimensionGroup)
 
     def test_each_dimension_in_exactly_one_group(self):
         seen = []
-        for dims, _ in dimension_relation_map().values():
+        for dims, _ in _GROUP_TABLE.values():
             seen.extend(dims)
         assert sorted(d.value for d in seen) == sorted(d.value for d in Dimension)
 
     def test_needs_relations(self):
-        dims, rels = dimension_relation_map()[DimensionGroup.Needs]
+        dims, rels = _GROUP_TABLE[DimensionGroup.Needs]
         assert dims == frozenset({Dimension.xNeed})
         assert rels == frozenset({"MotivatedByGoal", "Entails", "HasPrerequisite"})
 
     def test_attributes_relation(self):
-        dims, rels = dimension_relation_map()[DimensionGroup.Attributes]
+        dims, rels = _GROUP_TABLE[DimensionGroup.Attributes]
         assert dims == frozenset({Dimension.xAttr})
         assert rels == frozenset({"HasProperty"})
 
     def test_wants_pair(self):
-        dims, rels = dimension_relation_map()[DimensionGroup.Wants]
+        dims, rels = _GROUP_TABLE[DimensionGroup.Wants]
         assert dims == frozenset({Dimension.xWant, Dimension.oWant})
         assert "CausesDesire" in rels and "MotivatedByGoal" in rels
 
@@ -119,7 +119,7 @@ class TestTripleOverlap:
             event = f"PersonX {rng.choice(verbs)}"
             target = rng.choice(objs)
             triples.append(make_triple(event, dim.value, target, worker=f"w{i}"))
-        relations = sorted({r for _, rels in dimension_relation_map().values() for r in rels})
+        relations = sorted({r for _, rels in _GROUP_TABLE.values() for r in rels})
         edges = {
             ExternalEdge(rng.choice(relations), rng.choice(verbs), rng.choice(objs))
             for _ in range(25)
@@ -130,7 +130,7 @@ class TestTripleOverlap:
     def test_matches_brute_force_oracle(self, seed):
         graph, edges = self.random_case(seed)
         result = triple_overlap(graph, edges)
-        for group, (dims, rels) in dimension_relation_map().items():
+        for group, (dims, rels) in _GROUP_TABLE.items():
             expected = overlap_oracle(graph, edges, normalize_concept, dims, rels)
             assert result[group] == pytest.approx(expected, abs=1e-9)
 
@@ -156,7 +156,7 @@ class TestTripleOverlap:
         graph = build_graph([make_triple(ev, dim.value, tgt, worker=f"w{i}")
                              for i, (ev, dim, tgt) in enumerate(rows)])
         result = triple_overlap(graph, edges)
-        for group, (dims, rels) in dimension_relation_map().items():
+        for group, (dims, rels) in _GROUP_TABLE.items():
             assert result[group] == overlap_oracle(graph, edges, normalize_concept, dims, rels)
 
     def test_each_distinct_text_normalized_once_per_call(self, monkeypatch):
@@ -186,7 +186,7 @@ class TestTripleOverlap:
         base = triple_overlap(graph, edges)
         rng = random.Random(seed + 1)
         more = set(edges)
-        relations = sorted({r for _, rels in dimension_relation_map().values() for r in rels})
+        relations = sorted({r for _, rels in _GROUP_TABLE.values() for r in rels})
         for _ in range(extra):
             more.add(
                 ExternalEdge(
