@@ -8,8 +8,9 @@ dimension name, target text, worker id) so write-then-parse is
 byte-identical on well-formed input.
 
 Every line file the package reads goes through :func:`data_lines` and
-:func:`line_message`, and every tab-separated one through
-:func:`tab_fields` and :func:`tab_line`. :func:`atomic_write` is how the
+:func:`line_message`, every tab-separated one through :func:`tab_fields`
+and :func:`tab_line`, and every JSON-lines one through :func:`json_value`,
+:func:`json_fields` and :func:`json_line`. :func:`atomic_write` is how the
 package writes its output files.
 """
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import json
+import math
 import os
 from typing import IO, Iterable, Iterator
 
@@ -81,6 +83,65 @@ def tab_line(kind: str, fields: tuple[str, ...]) -> str:
     return line + "\n"
 
 
+def _finite_float(text: str) -> float:
+    # An overflowing literal such as -1e999 parses to an infinity.
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+_DECODER = json.JSONDecoder(parse_float=_finite_float, parse_constant=_reject_constant)
+_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True, allow_nan=False)
+_KINDS = {str: "a string", int: "an integer", float: "a float", list: "a list"}
+
+
+def json_value(text: str):
+    """The JSON value of a data line, under RFC 8259: ``NaN``, ``Infinity``
+    and a literal that overflows a float raise ``ValueError``, as does
+    nesting too deep for the decoder."""
+    try:
+        return _DECODER.decode(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ValueError("invalid JSON: nested too deeply") from None
+
+
+def json_fields(value, kinds: dict[str, type]) -> list:
+    """The values of a JSON object that has exactly the keys of ``kinds``,
+    in its order. Raises ``ValueError``, naming the key, on a value not of
+    its kind: a bool is never a number, and an int is a float unless it is
+    too large for one."""
+    if type(value) is not dict:
+        raise ValueError(f"expected a JSON object, got {json.dumps(value)}")
+    if value.keys() != kinds.keys():
+        missing = [k for k in kinds if k not in value]
+        raise ValueError(f"missing keys {missing}" if missing
+                         else f"unknown keys {[k for k in value if k not in kinds]}")
+    fields = []
+    for key, kind in kinds.items():
+        field = value[key]
+        if kind is float and type(field) is int:
+            with contextlib.suppress(OverflowError):
+                field = float(field)
+        if type(field) is not kind:
+            raise ValueError(f"expected {_KINDS[kind]} for {key!r}, got {json.dumps(field)}")
+        fields.append(field)
+    return fields
+
+
+def json_line(record: dict) -> str:
+    """``record`` as one JSON line, newline included, with sorted keys and
+    unescaped non-ASCII text. Raises ``ValueError`` on a non-finite number,
+    which JSON cannot hold."""
+    return _ENCODER.encode(record) + "\n"
+
+
 class AtlasFormatError(ValueError):
     """Malformed triple file; carries the offending line number."""
 
@@ -91,7 +152,7 @@ class AtlasFormatError(ValueError):
 
 _DIMENSIONS = {d.value: d for d in Dimension}
 _SPLITS = {s.value: s for s in Split}
-# Enum.value runs Python code on each read; the writer reads names from here.
+# Enum.value runs Python code on each read; the writers read names from here.
 _NAMES = {member: name for name, member in (*_DIMENSIONS.items(), *_SPLITS.items())}
 
 
@@ -104,12 +165,12 @@ def _parse(stream: IO[str], jsonl: bool) -> list[Triple]:
     event_of = functools.cache(EventPhrase.from_text)
     target_of = functools.cache(InferenceTarget.from_text)
     dimension_of, split_of = _DIMENSIONS.get, _SPLITS.get
-    columns = len(TSV_COLUMNS)
+    columns, kinds = len(TSV_COLUMNS), dict.fromkeys(TSV_COLUMNS, str)
     triples = []
     for line_no, text in data_lines(stream):
         try:
             event_text, dim_name, target_text, split_label, worker_id = (
-                _jsonl_fields(text) if jsonl else tab_fields(text, columns))
+                json_fields(json_value(text), kinds) if jsonl else tab_fields(text, columns))
             dimension = dimension_of(dim_name)
             if dimension is None:
                 raise ValueError(f"unknown dimension name {dim_name!r}")
@@ -121,25 +182,6 @@ def _parse(stream: IO[str], jsonl: bool) -> list[Triple]:
             raise AtlasFormatError(line_no, str(exc)) from None
         triples.append(Triple(event, dimension, target, worker_id, split))
     return triples
-
-
-def _jsonl_fields(text: str) -> list[str]:
-    try:
-        record = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid JSON: {exc}") from None
-    if not isinstance(record, dict):
-        raise ValueError(f"expected a JSON object, got {json.dumps(record)}")
-    missing = [k for k in TSV_COLUMNS if k not in record]
-    if missing:
-        raise ValueError(f"missing keys {missing}")
-    extra = [k for k in record if k not in TSV_COLUMNS]
-    if extra:
-        raise ValueError(f"unknown keys {extra}")
-    for k in TSV_COLUMNS:
-        if not isinstance(record[k], str):
-            raise ValueError(f"expected a string for {k!r}, got {json.dumps(record[k])}")
-    return [record[k] for k in TSV_COLUMNS]
 
 
 def parse_atlas_tsv(stream: IO[str]) -> list[Triple]:
@@ -157,7 +199,7 @@ def parse_atlas_jsonl(stream: IO[str]) -> list[Triple]:
 def _canonical(triples: Iterable[Triple]) -> list[Triple]:
     return sorted(
         triples,
-        key=lambda t: (t.event.text, t.dimension.value, t.target.text, t.worker_id),
+        key=lambda t: (t.event.text, _NAMES[t.dimension], t.target.text, t.worker_id),
     )
 
 
@@ -171,20 +213,9 @@ def write_atlas_tsv(triples: Iterable[Triple], stream: IO[str]) -> None:
 
 def write_atlas_jsonl(triples: Iterable[Triple], stream: IO[str]) -> None:
     for t in _canonical(triples):
-        stream.write(
-            json.dumps(
-                {
-                    "event": t.event.text,
-                    "dimension": t.dimension.value,
-                    "target": t.target.text,
-                    "split": t.split.value,
-                    "worker_id": t.worker_id,
-                },
-                ensure_ascii=False,
-                sort_keys=True,
-            )
-            + "\n"
-        )
+        stream.write(json_line({"event": t.event.text, "dimension": _NAMES[t.dimension],
+                                "target": t.target.text, "split": _NAMES[t.split],
+                                "worker_id": t.worker_id}))
 
 
 def parse_atlas_file(path: str) -> list[Triple]:

@@ -268,18 +268,18 @@ def _emit_resolved_config(args: argparse.Namespace) -> None:
     out = getattr(args, "out", None)
     if not out:
         return
-    resolved = {k: v for k, v in sorted(vars(args).items()) if k != "config"}
-    with atomic_write(out + ".config.json") as fh:
-        json.dump(resolved, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json({k: v for k, v in vars(args).items() if k != "config"}, out + ".config.json",
+                echo=False)
 
 
-def _write_json(data, out_path: str | None) -> None:
+def _write_json(data, out_path: str | None, echo: bool = True) -> None:
+    """One JSON document, to ``out_path`` if given and, if ``echo``, to stdout."""
     text = json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
     if out_path:
         with atomic_write(out_path) as fh:
             fh.write(text + "\n")
-    print(text)
+    if echo:
+        print(text)
 
 
 def _report(value):
@@ -378,10 +378,8 @@ def _cmd_split(args) -> None:
     else:
         stopwords = default_stopwords()
     assignment = split_events(list(graph.events), ratios, args.seed, stopwords)
-    text = json.dumps({ev: s.value for ev, s in assignment.assignment.items()},
-                      indent=2, sort_keys=True)
-    with atomic_write(args.out) as fh:
-        fh.write(text + "\n")
+    _write_json({ev: s.value for ev, s in assignment.assignment.items()}, args.out,
+                echo=False)
     counts = {s.value: 0 for s in Split}
     for s in assignment.assignment.values():
         counts[s.value] += 1

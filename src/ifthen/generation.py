@@ -29,14 +29,13 @@ can be positive, so that search is not pruned and runs to the cap.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 from typing import IO, Iterable
 
 import numpy as np
 
-from ifthen.atlas_io import data_lines, line_message
+from ifthen.atlas_io import data_lines, json_fields, json_line, json_value, line_message
 from ifthen.graph import AtlasGraph, EventIndex, normalize_node_text
 from ifthen.seq2seq.model import ModelParams, decode_step, initial_decoder_state
 from ifthen.taxonomy import Dimension
@@ -245,57 +244,24 @@ def write_generations(generations: Iterable[GenerationList], stream: IO[str]) ->
     """
     count = 0
     for count, gen in enumerate(generations, start=1):
-        stream.write(
-            json.dumps(
-                {
-                    "event": gen.event,
-                    "dimension": gen.dimension.value,
-                    "beam_width": gen.beam_width,
-                    "entries": [
-                        {"text": " ".join(tokens), "score": score}
-                        for tokens, score in gen.entries
-                    ],
-                },
-                ensure_ascii=False,
-                sort_keys=True,
-                allow_nan=False,
-            )
-            + "\n"
-        )
+        stream.write(json_line({
+            "event": gen.event,
+            "dimension": gen.dimension.value,
+            "beam_width": gen.beam_width,
+            "entries": [{"text": " ".join(tokens), "score": score}
+                        for tokens, score in gen.entries],
+        }))
     return count
 
 
-def _reject_constant(name: str):
-    raise ValueError(f"{name} is not a JSON number")
-
-
-def _finite_float(text: str) -> float:
-    # An overflowing literal such as -1e999 parses to an infinity.
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{text} is not a finite number")
-    return value
-
-
-def _typed(value, kind: type | tuple[type, ...], name: str):
-    # bool is an int subclass, but JSON true/false is no number.
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ValueError(f"{json.dumps(value)} is not {name}")
-    return value
-
-
-def _score(value) -> float:
-    # Floats are finite already (_finite_float); an int literal may overflow.
-    try:
-        return float(_typed(value, (int, float), "a number"))
-    except OverflowError:
-        raise ValueError(f"{value} is not a finite number") from None
+_LIST_KINDS = {"event": str, "dimension": str, "beam_width": int, "entries": list}
+_ENTRY_KINDS = {"text": str, "score": float}
 
 
 def read_generations(stream: IO[str]) -> list[GenerationList]:
     """Parse a :func:`write_generations` dump; a malformed line, including
-    one holding a non-finite score or a field of the wrong type, raises
-    ``ValueError`` naming it.
+    one holding a non-finite score, a field of the wrong type or an unknown
+    key, raises ``ValueError`` naming it.
 
     Entries with the same text share one token tuple.
     """
@@ -303,22 +269,10 @@ def read_generations(stream: IO[str]) -> list[GenerationList]:
     tokens_of = functools.cache(lambda text: tuple(text.split()))
     for line_no, text in data_lines(stream):
         try:
-            record = _typed(
-                json.loads(text, parse_constant=_reject_constant,
-                           parse_float=_finite_float),
-                dict, "an object")
-            entries = []
-            for e in _typed(record["entries"], list, "a list"):
-                text = _typed(_typed(e, dict, "an object")["text"], str, "a string")
-                entries.append((tokens_of(text), _score(e["score"])))
-            out.append(
-                GenerationList(
-                    event=_typed(record["event"], str, "a string"),
-                    dimension=Dimension(record["dimension"]),
-                    beam_width=_typed(record["beam_width"], int, "an integer"),
-                    entries=tuple(entries),
-                )
-            )
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
+            event, dimension, beam_width, entries = json_fields(json_value(text), _LIST_KINDS)
+            entries = tuple((tokens_of(t), score) for t, score in
+                            (json_fields(e, _ENTRY_KINDS) for e in entries))
+            out.append(GenerationList(event, Dimension(dimension), beam_width, entries))
+        except ValueError as exc:
             raise ValueError(f"generation dump {line_message(line_no, exc)}") from None
     return out

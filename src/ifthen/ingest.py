@@ -110,11 +110,15 @@ def load_name_lexicon(stream: IO[str]) -> set[str]:
 
 
 def _one_field_lines(stream: IO[str]) -> Iterator[str]:
+    # Events are matched one token at a time, so an entry of two never would.
     for line_no, text in data_lines(stream):
         try:
-            yield tab_fields(text.strip(), 1)[0]
+            token = tab_fields(text.strip(), 1)[0]
+            if len(token.split()) != 1:
+                raise ValueError(f"expected one token, got {token!r}")
         except ValueError as exc:
             raise IngestError(line_message(line_no, exc)) from None
+        yield token
 
 
 def load_frequency_table(stream: IO[str]) -> FrequencyTable:

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -298,3 +299,84 @@ def test_every_reader_names_a_line_with_the_wrong_field_count(name):
         read(io.StringIO(text))
     prefix = "generation dump " if read is read_generations else ""
     assert str(exc.value).startswith(f"{prefix}line {bad_line}: ")
+
+
+_DUMP_LINE = ('{"beam_width": 2, "dimension": "xWant", "entries": [{"score": -0.5, '
+              '"text": "to rest"}], "event": "PersonX naps"}')
+_HUGE = "1" + "0" * 400
+# Both JSON-lines readers: the valid line, and the prefix of their errors.
+_JSON_READERS = {
+    "atlas-jsonl": (parse_atlas_jsonl, _VALID_JSON, AtlasFormatError, ""),
+    "generation-dump": (read_generations, _DUMP_LINE, ValueError, "generation dump "),
+}
+_NON_FINITE = [("NaN", "NaN is not a JSON number"),
+               ("Infinity", "Infinity is not a JSON number"),
+               ("-Infinity", "-Infinity is not a JSON number"),
+               ("1e999", "1e999 is not a finite number"),
+               ("-1e999", "-1e999 is not a finite number")]
+# Every rule of a JSON line: (reader, rule, text replaced, replacement, message).
+# A replaced text of None stands for the whole line.
+_JSON_RULES = [
+    *[(reader, "not-object", None, "[1]", "expected a JSON object, got [1]")
+      for reader in _JSON_READERS],
+    *[(reader, "nested-too-deeply", None, "[" * 100_000, "invalid JSON: nested too deeply")
+      for reader in _JSON_READERS],
+    ("atlas-jsonl", "missing-key", ', "worker_id": "w1"', "", "missing keys ['worker_id']"),
+    ("atlas-jsonl", "unknown-key", "{", '{"extra": "x", ', "unknown keys ['extra']"),
+    ("atlas-jsonl", "string", '"w1"', "7", "expected a string for 'worker_id', got 7"),
+    *[("atlas-jsonl", literal, '"w1"', literal, message) for literal, message in _NON_FINITE],
+    ("atlas-jsonl", "huge-integer", '"w1"', _HUGE,
+     f"expected a string for 'worker_id', got {_HUGE}"),
+    ("generation-dump", "missing-key", '"beam_width": 2, ', "", "missing keys ['beam_width']"),
+    ("generation-dump", "unknown-key", "{", '{"model": "x", ', "unknown keys ['model']"),
+    ("generation-dump", "string", '"PersonX naps"', "null",
+     "expected a string for 'event', got null"),
+    ("generation-dump", "integer", '"beam_width": 2', '"beam_width": 2.0',
+     "expected an integer for 'beam_width', got 2.0"),
+    ("generation-dump", "integer-bool", '"beam_width": 2', '"beam_width": true',
+     "expected an integer for 'beam_width', got true"),
+    ("generation-dump", "list", '[{"score": -0.5, "text": "to rest"}]',
+     '{"score": -0.5, "text": "to rest"}',
+     'expected a list for \'entries\', got {"score": -0.5, "text": "to rest"}'),
+    ("generation-dump", "float", "-0.5", '"-0.5"', "expected a float for 'score', got \"-0.5\""),
+    ("generation-dump", "float-bool", "-0.5", "false", "expected a float for 'score', got false"),
+    *[("generation-dump", literal, "-0.5", literal, message) for literal, message in _NON_FINITE],
+    ("generation-dump", "huge-integer", "-0.5", f"-{_HUGE}",
+     f"expected a float for 'score', got -{_HUGE}"),
+    ("generation-dump", "entry-not-object", '[{"score": -0.5, "text": "to rest"}]',
+     '["to rest"]', 'expected a JSON object, got "to rest"'),
+    ("generation-dump", "entry-missing-key", ', "text": "to rest"', "",
+     "missing keys ['text']"),
+    ("generation-dump", "entry-unknown-key", '{"score"', '{"rank": 1, "score"',
+     "unknown keys ['rank']"),
+]
+
+
+@pytest.mark.parametrize("name, old, new, message", [
+    pytest.param(name, old, new, message, id=f"{name}-{rule}")
+    for name, rule, old, new, message in _JSON_RULES])
+def test_json_lines_readers_name_the_line_that_breaks_a_rule(name, old, new, message):
+    read, valid, error, prefix = _JSON_READERS[name]
+    assert old is None or old in valid
+    bad = new if old is None else valid.replace(old, new, 1)
+    assert read(io.StringIO(valid + "\n"))
+    with pytest.raises(error) as exc:
+        read(io.StringIO(f"{valid}\n{bad}\n{valid}\n"))
+    assert str(exc.value) == f"{prefix}line 2: {message}"
+
+
+def test_generation_dump_reads_an_integer_score_as_a_float():
+    [gen] = read_generations(io.StringIO(_DUMP_LINE.replace("-0.5", "-1") + "\n"))
+    assert gen.entries == ((("to", "rest"), -1.0),)
+    assert type(gen.entries[0][1]) is float
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_json_lines_writers_refuse_a_non_finite_number(value):
+    good = make_triple("PersonX naps", "xReact", "calm")
+    bad = Triple(good.event, Dimension.xWant, good.target, value, Split.Train)
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_atlas_jsonl([good, bad], io.StringIO())
+    gen = GenerationList("PersonX naps", Dimension.xWant, 1, ((("to", "rest"), value),))
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_generations([gen], io.StringIO())

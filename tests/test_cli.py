@@ -158,6 +158,16 @@ class TestDataCommands:
             "data error: line 1: 'story' is not a valid FrequencySource"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["atlas.tsv", "freq.tsv"]
 
+    def test_ingest_name_lexicon_line_of_two_tokens_names_its_line(self, atlas, tmp_path,
+                                                                   capsys):
+        names = tmp_path / "names.txt"
+        names.write_text("alice\nmary ann\n")
+        assert run(["ingest", "--in", atlas, "--out", str(tmp_path / "clean.tsv"),
+                    "--name-lexicon", str(names)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "data error: line 2: expected one token, got 'mary ann'"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["atlas.tsv", "names.txt"]
+
     @pytest.mark.parametrize("rows,flags,message", [
         ("Alice naps\txReact\tcalm\ttrain\tw1\nBob naps\txReact\ttired\ttest\tw2\n",
          ["--name-lexicon", "{tmp}/names.txt"],
@@ -490,15 +500,24 @@ class TestExitCodes:
         assert capsys.readouterr().err == "data error: line 1: no values\n"
         assert not gen.exists()
 
-    @pytest.mark.parametrize("field, constant", [
-        pytest.param("-0.5", value, id=value)
-        for value in ["-Infinity", "NaN", "-1e999", "1e999", "null", "-1" + "0" * 400, "true"]
+    @pytest.mark.parametrize("field, constant, message", [
+        pytest.param("-0.5", value, f"{value} is not a JSON number", id=value)
+        for value in ["-Infinity", "NaN"]
     ] + [
-        pytest.param('"to eat it"', "5", id="text-5"),
-        pytest.param('[{"score": -0.5, "text": "to eat it"}]', "5", id="entries-5"),
-        pytest.param("10", '"1"', id="beam_width-str"),
+        pytest.param("-0.5", value, f"{value} is not a finite number", id=value)
+        for value in ["-1e999", "1e999"]
+    ] + [
+        pytest.param("-0.5", value, f"expected a float for 'score', got {value}", id=value)
+        for value in ["null", "-1" + "0" * 400, "true"]
+    ] + [
+        pytest.param('"to eat it"', "5", "expected a string for 'text', got 5", id="text-5"),
+        pytest.param('[{"score": -0.5, "text": "to eat it"}]', "5",
+                     "expected a list for 'entries', got 5", id="entries-5"),
+        pytest.param("10", '"1"', "expected an integer for 'beam_width', got \"1\"",
+                     id="beam_width-str"),
     ])
-    def test_eval_bleu_rejects_non_json_score(self, atlas, tmp_path, capsys, field, constant):
+    def test_eval_bleu_rejects_non_json_score(self, atlas, tmp_path, capsys, field, constant,
+                                              message):
         gen = tmp_path / "nn.jsonl"
         gen.write_text(
             '{"beam_width": 10, "dimension": "xWant", "entries": [{"score": -0.5, '
@@ -507,7 +526,7 @@ class TestExitCodes:
         assert run(["eval-bleu", "--gen", str(gen), "--atlas", atlas,
                     "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"data error: generation dump line 1: {constant} is not")
+        assert err == f"data error: generation dump line 1: {message}\n"
         assert "Traceback" not in err
         assert not out.exists()
 

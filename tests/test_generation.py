@@ -589,21 +589,29 @@ class TestSerialization:
         with pytest.raises(ValueError):
             write_generations([gen], io.StringIO())
 
-    @pytest.mark.parametrize("field, constant", [
-        pytest.param("-0.5", value, id=value)
-        for value in ["NaN", "Infinity", "-Infinity", "-1e999", "1e999",
-                      "null", "-1" + "0" * 400, "true"]
+    @pytest.mark.parametrize("field, constant, message", [
+        pytest.param("-0.5", value, f"{value} is not a JSON number", id=value)
+        for value in ["NaN", "Infinity", "-Infinity"]
     ] + [
-        pytest.param('"to rest"', "5", id="text-5"),
-        pytest.param('[{"score": -0.5, "text": "to rest"}]', "5", id="entries-5"),
-        pytest.param("1", '"1"', id="beam_width-str"),
+        pytest.param("-0.5", value, f"{value} is not a finite number", id=value)
+        for value in ["-1e999", "1e999"]
+    ] + [
+        pytest.param("-0.5", value, f"expected a float for 'score', got {value}", id=value)
+        for value in ["null", "-1" + "0" * 400, "true"]
+    ] + [
+        pytest.param('"to rest"', "5", "expected a string for 'text', got 5", id="text-5"),
+        pytest.param('[{"score": -0.5, "text": "to rest"}]', "5",
+                     "expected a list for 'entries', got 5", id="entries-5"),
+        pytest.param("1", '"1"', "expected an integer for 'beam_width', got \"1\"",
+                     id="beam_width-str"),
     ])
-    def test_non_json_constant_rejected_with_line(self, field, constant):
+    def test_non_json_constant_rejected_with_line(self, field, constant, message):
         good = ('{"beam_width": 1, "dimension": "xWant", "entries": '
                 '[{"score": -0.5, "text": "to rest"}], "event": "PersonX runs"}')
         bad = good.replace(field, constant, 1)
-        with pytest.raises(ValueError, match=f"generation dump line 2: {constant} is not"):
+        with pytest.raises(ValueError) as exc:
             read_generations(io.StringIO(good + "\n" + bad + "\n"))
+        assert str(exc.value) == f"generation dump line 2: {message}"
 
     def test_equal_texts_share_token_tuples(self):
         line = ('{"beam_width": 2, "dimension": "xWant", "entries": [{"score": -0.5, '

@@ -16,6 +16,7 @@ from ifthen.ingest import (
     default_stopwords,
     load_frequency_table,
     load_name_lexicon,
+    load_stopwords,
     normalize_event,
     split_events,
 )
@@ -54,6 +55,24 @@ class TestNormalizeEvent:
         lexicon = load_name_lexicon(io.StringIO("ALEX\n"))
         ev = normalize_event("Alex calls alex's friend ALEX", lexicon)
         assert ev.text == "PersonX calls PersonX's friend PersonX"
+
+
+    def test_lexicon_keeps_one_token_lines_around_their_whitespace(self):
+        assert load_name_lexicon(io.StringIO("  Alex \nbob\t\n")) == {"alex", "bob"}
+
+
+@pytest.mark.parametrize("load", [load_name_lexicon, load_stopwords],
+                         ids=["names", "stopwords"])
+@pytest.mark.parametrize("line, token", [
+    ("mary ann", "mary ann"),
+    ("  mary  ann ", "mary  ann"),
+    ("of\u00a0the", "of\u00a0the"),
+], ids=["space", "padded", "no-break-space"])
+def test_one_field_line_of_two_tokens_names_its_line(load, line, token):
+    # Events are compared one token at a time, so such an entry never matches.
+    with pytest.raises(IngestError) as exc:
+        load(io.StringIO(f"alex\n# a comment\n{line}\nbob\n"))
+    assert str(exc.value) == f"line 3: expected one token, got {token!r}"
 
 
 class TestBlanking:
