@@ -100,12 +100,12 @@ _ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True, allow_nan=False)
 _KINDS = {str: "a string", int: "an integer", float: "a float", list: "a list"}
 
 
-def json_value(text: str):
-    """The JSON value of a data line, under RFC 8259: ``NaN``, ``Infinity``
-    and a literal that overflows a float raise ``ValueError``, as does
-    nesting too deep for the decoder."""
+def json_value(text: str, finite: bool = True):
+    """The JSON value of a data line or file, under RFC 8259: ``NaN``,
+    ``Infinity`` and a literal that overflows a float raise ``ValueError``
+    (or, if not ``finite``, read as floats), as does too deep nesting."""
     try:
-        return _DECODER.decode(text)
+        return _DECODER.decode(text) if finite else json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON: {exc}") from None
     except RecursionError:

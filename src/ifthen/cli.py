@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import errno
-import functools
 import json
 import math
 import os
@@ -21,7 +20,7 @@ from collections.abc import Callable
 import numpy as np
 
 from ifthen import evaluation, generation
-from ifthen.atlas_io import atomic_write, parse_atlas_file, write_atlas_file
+from ifthen.atlas_io import atomic_write, json_value, parse_atlas_file, write_atlas_file
 from ifthen.graph import (
     EventPhrase,
     Split,
@@ -239,8 +238,8 @@ def _apply_config(parser: _CommandParser, args: argparse.Namespace) -> argparse.
     settings = {}
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
-            try:
-                settings = json.load(fh)
+            try:  # a non-finite float is refused below, naming its flag
+                settings = json_value(fh.read(), finite=False)
             except ValueError as exc:  # not UTF-8 or not JSON
                 raise UsageError(f"the --config file is not JSON: {exc}") from None
         if not isinstance(settings, dict):
@@ -331,10 +330,7 @@ def _cmd_ingest(args) -> None:
         with open(args.freq_table, encoding="utf-8") as fh:
             freq = load_frequency_table(fh)
 
-    @functools.cache
     def ingested(event: EventPhrase) -> EventPhrase:
-        """``event`` named, then blanked; called once per distinct event
-        (two events are equal exactly when their texts are)."""
         if lexicon is not None:
             event = normalize_event(event.text, lexicon)
         if freq is not None:

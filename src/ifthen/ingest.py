@@ -9,7 +9,7 @@ that keeps events sharing their first two content words in the same set.
 from __future__ import annotations
 
 import random
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping, Set
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
@@ -59,6 +59,7 @@ class FrequencyTable:
     _spans: dict[str, tuple[dict[tuple[str, ...], int], tuple[int, ...]]] = field(
         init=False, repr=False, compare=False)
     _default_threshold: int = field(init=False, repr=False, compare=False)
+    _blanked: dict[int, dict[str, EventPhrase]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         counts = MappingProxyType(dict(self.counts))
@@ -82,6 +83,7 @@ class FrequencyTable:
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "_spans", index)
         object.__setattr__(self, "_default_threshold", threshold)
+        object.__setattr__(self, "_blanked", {})
 
     def default_threshold(self) -> int:
         """Per-source cutoff below which arguments are blanked: a minimum
@@ -105,8 +107,15 @@ def default_stopwords() -> set[str]:
         return load_stopwords(fh)
 
 
-def load_name_lexicon(stream: IO[str]) -> set[str]:
-    return {name.lower() for name in _one_field_lines(stream)}
+class NameLexicon(frozenset):
+    """Lowercased names that keep :func:`normalize_event`'s results."""
+
+    def __init__(self, names: Iterable[str] = (), /):
+        self._named: dict[str, EventPhrase] = {}
+
+
+def load_name_lexicon(stream: IO[str]) -> NameLexicon:
+    return NameLexicon(name.lower() for name in _one_field_lines(stream))
 
 
 def _one_field_lines(stream: IO[str]) -> Iterator[str]:
@@ -154,7 +163,7 @@ def _split_possessive(token: str) -> tuple[str, str]:
     return token, ""
 
 
-def normalize_event(raw: str, name_lexicon: set[str]) -> EventPhrase:
+def normalize_event(raw: str, name_lexicon: Set[str]) -> EventPhrase:
     """Replace personal names with PersonX/Y/Z in first-mention order.
 
     ``name_lexicon`` holds lowercased names, as :func:`load_name_lexicon`
@@ -162,19 +171,20 @@ def normalize_event(raw: str, name_lexicon: set[str]) -> EventPhrase:
     possessive suffix, is in it. Repeated mentions of the same name map to
     the same variable; pre-existing person variables are left untouched
     and reserve their slot. More than three distinct names is an error.
+    A :class:`NameLexicon` keeps each result, by ``raw``; never an error.
     """
+    memo = name_lexicon._named if isinstance(name_lexicon, NameLexicon) else {}
+    if (event := memo.get(raw)) is not None:
+        return event
     if not raw.strip():
         raise IngestError("raw event must be non-empty")
     tokens = raw.split()
-
-    used = {
-        var for tok in tokens if (var := person_variable_of(tok)) is not None
-    }
-    free = [v for v in PERSON_VARIABLES if v not in used]
+    variables = [person_variable_of(tok) for tok in tokens]
+    free = [v for v in PERSON_VARIABLES if v not in variables]
     mapping: dict[str, str] = {}
     out: list[str] = []
-    for tok in tokens:
-        if person_variable_of(tok) is not None:
+    for tok, var in zip(tokens, variables):
+        if var is not None:
             out.append(tok)
             continue
         base, suffix = _split_possessive(tok)
@@ -190,7 +200,8 @@ def normalize_event(raw: str, name_lexicon: set[str]) -> EventPhrase:
             out.append(mapping[key] + suffix)
         else:
             out.append(tok)
-    return EventPhrase.from_text(" ".join(out))
+    event = memo[raw] = EventPhrase.from_text(" ".join(out))
+    return event
 
 
 def blank_infrequent_args(
@@ -204,23 +215,25 @@ def blank_infrequent_args(
     count falls below the threshold; spans absent from the table are kept.
     At each position the longest rare span wins, found by one lookup per
     span length in the table's per-verb index, so a call costs time in
-    the event's length, not the table's.
+    the event's length, not the table's. ``freq`` keeps each result, by
+    event text and threshold; never an error.
     Idempotent: placeholders never match an argument string.
     """
     if threshold is None:
         threshold = freq.default_threshold()
     if threshold < 1:
         raise IngestError(f"threshold must be >= 1, got {threshold}")
+    memo = freq._blanked.setdefault(threshold, {})
+    if (blanked := memo.get(event.text)) is not None:
+        return blanked
     tokens = event.tokens
-    verb = next(
-        (t for t in tokens if person_variable_of(t) is None and t != BLANK_TOKEN),
-        None,
-    )
-    if verb is None:
+    for i, verb in enumerate(tokens, start=1):
+        if person_variable_of(verb) is None and verb != BLANK_TOKEN:
+            break
+    else:
         raise IngestError(f"no identifiable verb token in {event.text!r}")
 
     spans, lengths = freq._spans.get(verb, ({}, ()))
-    i = tokens.index(verb) + 1
     out = tokens[:i]
     while i < len(tokens):
         for n in lengths:
@@ -231,7 +244,8 @@ def blank_infrequent_args(
         else:
             out.append(tokens[i])
             i += 1
-    return EventPhrase.from_text(" ".join(out))
+    blanked = memo[event.text] = EventPhrase.from_text(" ".join(out))
+    return blanked
 
 
 def content_key(event: EventPhrase, stopwords: set[str]) -> tuple[str, str]:

@@ -18,7 +18,7 @@ import os
 
 import numpy as np
 
-from ifthen.atlas_io import atomic_write
+from ifthen.atlas_io import atomic_write, json_value
 from ifthen.seq2seq.config import ModelConfig
 from ifthen.seq2seq.model import ModelParams, _param_shapes
 from ifthen.seq2seq.vocab import VocabularyMap
@@ -51,8 +51,8 @@ def save_checkpoint(params: ModelParams, path: str) -> None:
 def _read_header(fh) -> tuple[ModelConfig, VocabularyMap, list[str], dict[str, tuple]]:
     """Config, vocabulary and tensor manifest, checked against the config."""
     try:
-        header = json.loads(fh.readline())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        header = json_value(fh.readline().decode("utf-8"))
+    except ValueError as exc:  # not UTF-8 or not JSON
         raise CheckpointError(f"bad checkpoint header: {exc}") from None
     if not isinstance(header, dict):
         raise CheckpointError("bad checkpoint header: not a JSON object")

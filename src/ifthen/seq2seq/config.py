@@ -70,6 +70,8 @@ class ModelConfig:
             value = getattr(self, name)
             if not minimum <= value < math.inf:
                 raise ValueError(f"{name} must be finite and at least {minimum}, got {value}")
+        if self.early_stop_loss is not None and not math.isfinite(self.early_stop_loss):
+            raise ValueError(f"early_stop_loss must be finite, got {self.early_stop_loss}")
         if self.enc_hidden % 2 != 0:
             raise ValueError("enc_hidden must be even (bidirectional halves)")
 

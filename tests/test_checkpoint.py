@@ -1,11 +1,20 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import toy_params
 
-from ifthen.seq2seq import ModelVariant, load_checkpoint, save_checkpoint
+from ifthen.seq2seq import (
+    ModelConfig,
+    ModelVariant,
+    VocabularyMap,
+    init_params,
+    load_checkpoint,
+    save_checkpoint,
+)
+from ifthen.seq2seq.vocab import RESERVED_TOKENS
 from ifthen.seq2seq.checkpoint import CheckpointError
 
 
@@ -28,6 +37,39 @@ def test_round_trip_bit_exact(variant, tmp_path):
     assert loaded.param_order == params.param_order
     for name in params.param_order:
         np.testing.assert_array_equal(loaded.arrays[name], params.arrays[name])
+
+
+# Settings at the edges of what a config may hold, and tokens that JSON
+# must escape; every header that save_checkpoint writes must load.
+EDGE_SETTINGS = {
+    "defaults": {},
+    "extremes": {"learning_rate": sys.float_info.max, "clip_norm": 5e-324,
+                 "early_stop_loss": -sys.float_info.max, "seed": 2**64, "epochs": 10**18,
+                 "max_decode_len": 1, "batch_size": 1, "min_count": 1},
+    "zeros": {"learning_rate": 0.0, "clip_norm": 0.0, "early_stop_loss": 0.0, "seed": 0},
+}
+
+
+@pytest.mark.parametrize("variant", list(ModelVariant), ids=lambda v: v.value)
+@pytest.mark.parametrize("settings", EDGE_SETTINGS.values(), ids=EDGE_SETTINGS.keys())
+def test_every_header_save_writes_loads(variant, settings, tmp_path):
+    tokens = ["caf\u00e9", '"quoted"', "back\\slash", "tab\tnewline\n", "\u2028", "\ud800"]
+    config = ModelConfig(variant=variant, embed_dim=4, enc_hidden=4, dec_hidden=4, **settings)
+    params = init_params(config, VocabularyMap.from_tokens(list(RESERVED_TOKENS) + tokens))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(params, str(path))
+    loaded = load_checkpoint(str(path))
+    assert loaded.config == params.config
+    assert loaded.vocab == params.vocab
+
+
+@pytest.mark.parametrize("header", [b"[" * 200_000, b'{"format_version": Infinity}'],
+                         ids=["nested-too-deeply", "infinity"])
+def test_unreadable_header_rejected(header, tmp_path):
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(header + b"\n")
+    with pytest.raises(CheckpointError, match="^bad checkpoint header: "):
+        load_checkpoint(str(path))
 
 
 def test_save_twice_identical_bytes(tmp_path):

@@ -1,5 +1,4 @@
 import dataclasses
-import io
 import itertools
 import json
 import math
@@ -14,7 +13,6 @@ from ifthen import atlas_io, generation
 from ifthen.atlas_io import AtlasFormatError
 from ifthen.cli import _apply_config, _build_parser, run
 from ifthen.evaluation import EvalError
-from ifthen.graph import Triple
 from ifthen.ingest import IngestError
 from ifthen.overlap import OverlapError
 from ifthen.seq2seq import ModelConfig
@@ -90,9 +88,7 @@ class TestDataCommands:
         resolved = json.loads((tmp_path / "out.tsv.config.json").read_text())
         assert resolved["input"] == atlas and resolved["out"] == str(out)
 
-    def test_ingest_maps_each_distinct_event_once(self, tmp_path, monkeypatch):
-        from ifthen import cli, ingest
-
+    def test_ingest_names_then_blanks_every_event(self, tmp_path):
         src = tmp_path / "raw.tsv"
         src.write_text(
             "Alice runs home\txWant\tto rest\ttrain\tw1\n"
@@ -101,38 +97,18 @@ class TestDataCommands:
             "Bob meets Alice\toReact\tglad\ttrain\tw1\n"
             "Bob  meets Alice\txWant\tto chat\ttrain\tw2\n"
             "Alice runs home\toWant\tnone\ttest\tw3\n")
-        names = tmp_path / "names.txt"
-        names.write_text("alice\nbob\n")
-        freq = tmp_path / "freq.tsv"
-        freq.write_text("runs\thome\t1\tstories\nmeets\tPersonY\t9\tstories\n")
-        calls = {"normalize_event": [], "blank_infrequent_args": []}
-        for name in calls:
-            real = getattr(ingest, name)
-
-            def counted(event, *args, _real=real, _seen=calls[name]):
-                _seen.append(getattr(event, "text", event))
-                return _real(event, *args)
-
-            monkeypatch.setattr(cli, name, counted)
+        (tmp_path / "names.txt").write_text("alice\nbob\n")
+        (tmp_path / "freq.tsv").write_text("runs\thome\t1\tstories\nmeets\tPersonY\t9\tstories\n")
         out = tmp_path / "clean.tsv"
         assert run(["ingest", "--in", str(src), "--out", str(out), "--name-lexicon",
-                    str(names), "--freq-table", str(freq)]) == 0
-        # Keyed by the parsed text, in which "Bob  meets Alice" has one space.
-        assert calls["normalize_event"] == ["Alice runs home", "Bob meets Alice"]
-        assert calls["blank_infrequent_args"] == ["PersonX runs home", "PersonX meets PersonY"]
-
-        with open(names, encoding="utf-8") as fh:
-            lexicon = ingest.load_name_lexicon(fh)
-        with open(freq, encoding="utf-8") as fh:
-            table = ingest.load_frequency_table(fh)
-        expected = io.StringIO()
-        atlas_io.write_atlas_tsv([
-            Triple(ingest.blank_infrequent_args(
-                ingest.normalize_event(t.event.text, lexicon), table),
-                t.dimension, t.target, t.worker_id, t.split)
-            for t in atlas_io.parse_atlas_file(str(src))], expected)
-        assert out.read_text() == expected.getvalue()
-        assert "PersonX runs ___" in expected.getvalue()
+                    str(tmp_path / "names.txt"), "--freq-table", str(tmp_path / "freq.tsv")]) == 0
+        assert out.read_text() == (
+            "PersonX meets PersonY\toReact\tglad\ttrain\tw1\n"
+            "PersonX meets PersonY\txWant\tto chat\ttrain\tw2\n"
+            "PersonX runs ___\toWant\tnone\ttest\tw3\n"
+            "PersonX runs ___\txIntent\tto get fit\ttrain\tw1\n"
+            "PersonX runs ___\txWant\tto rest\ttrain\tw1\n"
+            "PersonX runs ___\txWant\tto rest\ttrain\tw2\n")
 
     @pytest.mark.parametrize("event, worker", [("#metoo PersonX posts", "w1"),
                                                ("PersonX posts", "w\t1")],
@@ -450,6 +426,19 @@ class TestExitCodes:
         return run(["generate", "--ckpt", str(ckpt), "--atlas", atlas,
                     "--out", str(tmp_path / "g.jsonl")])
 
+    @pytest.mark.parametrize("header, message", [
+        (b"[" * 200_000, "invalid JSON: nested too deeply"),
+        (b'{"format_version": NaN}', "NaN is not a JSON number"),
+        (b"\xff", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ], ids=["nested-too-deeply", "nan", "not-utf-8"])
+    def test_unreadable_checkpoint_header_is_data_error(self, atlas, tmp_path, capsys, header,
+                                                        message):
+        ckpt, gen = tmp_path / "model.ckpt", tmp_path / "g.jsonl"
+        ckpt.write_bytes(header + b"\n")
+        assert run(["generate", "--ckpt", str(ckpt), "--atlas", atlas, "--out", str(gen)]) == 2
+        assert capsys.readouterr().err == f"data error: bad checkpoint header: {message}\n"
+        assert not gen.exists()
+
     def test_checkpoint_without_config_is_data_error(self, atlas, tmp_path, capsys):
         assert self.generate_with_header(atlas, tmp_path, lambda h: h.pop("config")) == 2
         assert "data error" in capsys.readouterr().err
@@ -606,6 +595,13 @@ class TestExitCodes:
         # A missing config file is a missing input, like any other.
         assert run(["stats", "--atlas", atlas, "--config", str(tmp_path / "nope.json")]) == 2
         assert "data error" in capsys.readouterr().err
+
+    def test_deeply_nested_config_is_usage_error(self, atlas, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[" * 200_000)
+        assert run(["stats", "--atlas", atlas, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "usage error: the --config file is not JSON: invalid JSON: nested too deeply\n")
 
     @pytest.mark.parametrize("flag", [["--enc-hidden", "7"], ["--epochs", "0"],
                                       ["--batch-size", "0"], ["--min-count", "0"]])

@@ -1,16 +1,19 @@
 import io
 import random
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ifthen import atlas_io, ingest
 from ifthen.graph import BLANK_TOKEN, EventPhrase, Split, person_variable_of
 from ifthen.ingest import (
     NGRAMS_TOP_RANK,
     FrequencySource,
     FrequencyTable,
     IngestError,
+    NameLexicon,
     blank_infrequent_args,
     content_key,
     default_stopwords,
@@ -244,6 +247,121 @@ class TestBlankingMatchesReference:
         table = FrequencyTable(counts=counts, source=source)
         assert (_outcome(blank_infrequent_args, ev, table, threshold)
                 == _outcome(blank_infrequent_args_reference, ev, table, threshold))
+
+
+@pytest.fixture
+def made(monkeypatch):
+    """``(function, text)`` for each phrase that naming or blanking builds:
+    the work that the lexicon's and the table's memos save."""
+    made = []
+
+    class Counted:
+        @staticmethod
+        def from_text(text):
+            made.append((sys._getframe(1).f_code.co_name, text))
+            return EventPhrase.from_text(text)
+
+    monkeypatch.setattr(ingest, "EventPhrase", Counted)
+    return made
+
+
+def test_each_distinct_event_is_named_and_blanked_once(made):
+    # Called once per triple, as the ingest command and the benchmark call them.
+    raw = atlas_io.parse_atlas_tsv(io.StringIO(
+        "Alice runs home\txWant\tto rest\ttrain\tw1\n"
+        "Alice runs home\txWant\tto rest\ttrain\tw2\n"
+        "Alice runs home\txIntent\tto get fit\ttrain\tw1\n"
+        "Bob meets Alice\toReact\tglad\ttrain\tw1\n"
+        "Bob  meets Alice\txWant\tto chat\ttrain\tw2\n"
+        "Alice runs home\toWant\tnone\ttest\tw3\n"))
+    lexicon = load_name_lexicon(io.StringIO("alice\nbob\n"))
+    table = load_frequency_table(io.StringIO("runs\thome\t1\tstories\n"
+                                             "meets\tPersonY\t9\tstories\n"))
+    out = [blank_infrequent_args(normalize_event(t.event.text, lexicon), table) for t in raw]
+    # Keyed by the parsed text, in which "Bob  meets Alice" has one space.
+    assert made == [("normalize_event", "PersonX runs home"),
+                    ("blank_infrequent_args", "PersonX runs ___"),
+                    ("normalize_event", "PersonX meets PersonY"),
+                    ("blank_infrequent_args", "PersonX meets PersonY")]
+    assert [e.text for e in out] == ["PersonX runs ___"] * 3 + ["PersonX meets PersonY"] * 2 + [
+        "PersonX runs ___"]
+    # The same phrases as from a plain set and a fresh table per call, which keep nothing.
+    assert out == [blank_infrequent_args(normalize_event(t.event.text, set(lexicon)),
+                                         FrequencyTable(table.counts, table.source))
+                   for t in raw]
+
+
+class TestMemo:
+    """The lexicon keeps what naming returns, and the table what blanking returns."""
+
+    @pytest.fixture
+    def table(self):
+        return FrequencyTable(counts={("drinks", "dark roast"): 2, ("drinks", "coffee"): 50},
+                              source=FrequencySource.Stories)
+
+    def test_repeated_call_returns_the_same_phrase(self, table, made):
+        lexicon = NameLexicon(NAMES)
+        named = normalize_event("Alex drinks dark roast", lexicon)
+        assert normalize_event("Alex drinks dark roast", lexicon) is named
+        blanked = blank_infrequent_args(named, table)
+        again = EventPhrase.from_text("PersonX drinks dark roast")
+        assert blank_infrequent_args(again, table) is blanked
+        assert blank_infrequent_args(again, table, table.default_threshold()) is blanked
+        assert blanked.text == "PersonX drinks ___"
+        assert len(made) == 2
+
+    def test_error_is_raised_on_every_call(self, table, made):
+        lexicon = NameLexicon(NAMES)
+        no_verb = EventPhrase.from_text("PersonX ___")
+        for _ in range(3):
+            with pytest.raises(IngestError, match="more than 3 distinct person"):
+                normalize_event("Alex asks Taylor and Jordan about Sam", lexicon)
+            with pytest.raises(ValueError, match="without PersonX"):
+                normalize_event("PersonY drinks", lexicon)
+            with pytest.raises(IngestError, match="no identifiable verb"):
+                blank_infrequent_args(no_verb, table, 5)
+            with pytest.raises(IngestError, match="threshold must be >= 1"):
+                blank_infrequent_args(EventPhrase.from_text("drinks coffee"), table, 0)
+        # Only the one phrase each failed naming built before its error.
+        assert made == [("normalize_event", "PersonY drinks")] * 3
+
+    def test_thresholds_never_share_a_result(self, table):
+        ev = EventPhrase.from_text("drinks dark roast and coffee")
+        for _ in range(2):
+            assert blank_infrequent_args(ev, table, 2).text == ev.text
+            assert blank_infrequent_args(ev, table).text == "drinks ___ and coffee"
+            assert blank_infrequent_args(ev, table, 51).text == "drinks ___ and ___"
+
+    def test_tables_never_share_a_result(self, table):
+        ev = EventPhrase.from_text("drinks dark roast")
+        common = FrequencyTable(counts={("drinks", "dark roast"): 50},
+                                source=FrequencySource.Stories)
+        twin = FrequencyTable(table.counts, table.source)
+        for _ in range(2):
+            assert blank_infrequent_args(ev, table).text == "drinks ___"
+            assert blank_infrequent_args(ev, common).text == "drinks dark roast"
+        # Equal tables keep results apart too: a memo is owned, not looked up by value.
+        assert twin == table
+        assert blank_infrequent_args(ev, twin) is not blank_infrequent_args(ev, table)
+
+    def test_lexicons_never_share_a_result(self):
+        few, many, twin = NameLexicon({"alex"}), NameLexicon(NAMES), NameLexicon({"alex"})
+        for _ in range(2):
+            assert normalize_event("Alex calls Taylor", few).text == "PersonX calls Taylor"
+            assert normalize_event("Alex calls Taylor", many).text == "PersonX calls PersonY"
+        assert twin == few
+        assert normalize_event("Alex calls Taylor", twin) is not normalize_event(
+            "Alex calls Taylor", few)
+
+    def test_lexicon_is_a_set_of_names(self):
+        # The benchmark reads a lexicon with ``in`` and ``len()``.
+        lexicon = load_name_lexicon(io.StringIO("Alex\nTAYLOR\nalex\n"))
+        assert type(lexicon) is NameLexicon
+        normalize_event("Alex meets Taylor", lexicon)
+        assert "alex" in lexicon and "taylor" in lexicon
+        assert "Alex" not in lexicon and "Alex meets Taylor" not in lexicon
+        assert len(lexicon) == 2
+        assert lexicon == {"alex", "taylor"} and sorted(lexicon) == ["alex", "taylor"]
 
 
 class TestContentKey:

@@ -523,6 +523,12 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"{field} must be finite and at least {minimum}"):
             ModelConfig(**{field: minimum - 1})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_early_stop_loss_rejected(self, value):
+        # A checkpoint header holds the config, and JSON has no such number.
+        with pytest.raises(ValueError, match="early_stop_loss must be finite"):
+            ModelConfig(early_stop_loss=value)
+
     def test_zero_rate_and_clip_norm_allowed(self):
         ModelConfig(learning_rate=0.0, clip_norm=0.0)
 
